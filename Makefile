@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the pre-merge gate: vet, the full
 # test suite, and the race detector over the concurrency-heavy packages
 # (replication and transport are where the primary/backup/heartbeat
-# goroutines interleave).
+# goroutines interleave; the facade, debugger, fuzzer, consensus log, fleet
+# and view service start goroutines too, and run their -short suites raced).
 
 GO ?= go
 
@@ -18,6 +19,7 @@ vet:
 
 race:
 	$(GO) test -race ./internal/replication/... ./internal/transport/... ./internal/simtest/...
+	$(GO) test -race -short . ./internal/debug/... ./internal/fuzzgen/... ./internal/consensus/... ./internal/fleet/... ./internal/viewsvc/...
 
 # Clock-injection rule (DESIGN.md): no naked time.Now/time.Sleep/... in
 # library code — time comes from an injected clock.Clock, or clock.Real.*

@@ -35,12 +35,17 @@
 // followers, open finite partition windows on the leader lane, inject
 // stale-term frames, and vary the election seed to force contested votes.
 //
-// -replay dispatches on the key's parsed field structure
-// (simtest.ClassifyReplayKey): a "clients" field means a fleet combo, "who"
-// means a consensus combo, "kill1" means a view combo, and anything else is a
-// pair combo. Unknown, ambiguous, or malformed fields are rejected up front
-// with an error naming the offending field. Pair replays accept -capture to
-// write the backup's replication log as a .ftlog for ftvm-debug.
+// Exactly one sweep runs: the pair sweep, or the one -view, -fleet or
+// -consensus selects. Selecting two, or setting a flag the chosen sweep does
+// not read (-kills, -size and -nets with -fleet, -clients without it, any
+// sweep flag with -replay), is an error rather than silently ignored.
+//
+// -replay decodes the key with simtest.Parse: its field structure decides
+// the harness (a "clients" field means a fleet combo, "who" a consensus
+// combo, "kill1" a view combo, and none of them a pair combo), and unknown,
+// repeated, missing, ambiguous or malformed fields are rejected up front with
+// an error naming the offending field. Pair replays accept -capture to write
+// the backup's replication log as a .ftlog for ftvm-debug.
 //
 // On any divergence the sweep prints the failing combo's trace line and the
 // single -replay string that reproduces it; exit status is non-zero.
@@ -50,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -76,34 +82,81 @@ func run() error {
 		nets     = flag.Int("nets", 2, "number of network seeds per schedule")
 		tracePth = flag.String("trace", "", "write the full deterministic trace to this file")
 		verbose  = flag.Bool("v", false, "print every combo's trace line")
-		view     = flag.Bool("view", false, "sweep the three-node view-change cluster instead of the pair")
-		fleetSw  = flag.Bool("fleet", false, "sweep the sharded multi-tenant fleet instead of the pair")
-		clients  = flag.Int("clients", 1000, "clients per fleet combo (with -fleet)")
-		consens  = flag.Bool("consensus", false, "sweep the consensus-backed replicated log instead of the pair")
-		capture  = flag.String("capture", "", "with -replay of a pair combo: write the backup's replication log to this .ftlog file for ftvm-debug")
+		selected = map[string]*bool{
+			"view":      flag.Bool("view", false, "sweep the three-node view-change cluster instead of the pair"),
+			"fleet":     flag.Bool("fleet", false, "sweep the sharded multi-tenant fleet instead of the pair"),
+			"consensus": flag.Bool("consensus", false, "sweep the consensus-backed replicated log instead of the pair"),
+		}
+		clients = flag.Int("clients", 1000, "clients per fleet combo (with -fleet)")
+		capture = flag.String("capture", "", "with -replay of a pair combo: write the backup's replication log to this .ftlog file for ftvm-debug")
 	)
 	flag.Parse()
 
+	// The schedule space, filled in once the flags are checked.
+	var (
+		vm        simtest.VMSpace
+		killSends []int
+	)
+	vmAbout := func() string {
+		return fmt.Sprintf("%d program seeds, %d net seeds, size %s", *progs, *nets, vm.Size)
+	}
+	kinds := map[string]struct {
+		reads  string // the flags the run reads
+		combos func() []simtest.Scenario
+		about  func() string
+	}{
+		"pair": {"progs start size kills nets trace v", func() []simtest.Scenario {
+			return simtest.SweepConfig{VMSpace: vm, KillSends: killSends}.Combos()
+		}, vmAbout},
+		"view": {"view progs start size kills nets trace v", func() []simtest.Scenario {
+			return simtest.ViewSweepConfig{VMSpace: vm, Kill1Sends: killSends}.Combos()
+		}, vmAbout},
+		"fleet": {"fleet progs start clients trace v", func() []simtest.Scenario {
+			return simtest.FleetSweepConfig{Seeds: vm.ProgSeeds, Clients: *clients}.Combos()
+		}, func() string { return fmt.Sprintf("%d seeds, %d clients", *progs, *clients) }},
+		"consensus": {"consensus progs start size kills nets trace v", func() []simtest.Scenario {
+			return simtest.ConsensusSweepConfig{VMSpace: vm, KillSends: killSends}.Combos()
+		}, vmAbout},
+		"replay": {reads: "replay capture"},
+	}
+
+	name := "pair"
+	for _, k := range []string{"view", "fleet", "consensus"} {
+		if *selected[k] {
+			if name != "pair" {
+				return fmt.Errorf("-%s and -%s select different sweeps; choose one", name, k)
+			}
+			name = k
+		}
+	}
+	if *replay != "" {
+		name = "replay"
+	}
+	kind := kinds[name]
+	var stray []string
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(kind.reads), f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		return fmt.Errorf("%s: not read by the %s run (it reads -%s)",
+			strings.Join(stray, " "), name, strings.ReplaceAll(kind.reads, " ", " -"))
+	}
 	if *replay != "" {
 		return runReplay(*replay, *capture)
 	}
-	if *capture != "" {
-		return fmt.Errorf("-capture requires -replay with a pair combo key")
-	}
 
-	size, err := fuzzgen.SizeByName(*sizeName)
-	if err != nil {
+	var err error
+	if vm.Size, err = fuzzgen.SizeByName(*sizeName); err != nil {
 		return err
 	}
-	var progSeeds []uint64
 	for i := 0; i < *progs; i++ {
-		progSeeds = append(progSeeds, *start+uint64(i))
+		vm.ProgSeeds = append(vm.ProgSeeds, *start+uint64(i))
 	}
-	var netSeeds []int64
 	for i := 0; i < *nets; i++ {
-		netSeeds = append(netSeeds, int64(i+1))
+		vm.NetSeeds = append(vm.NetSeeds, int64(i+1))
 	}
-	var killSends []int
 	if *kills != "" {
 		for _, f := range strings.Split(*kills, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -118,131 +171,55 @@ func run() error {
 	if *verbose {
 		logf = func(line string) { fmt.Println(line) }
 	}
-
-	var (
-		combos   int
-		elapsed  time.Duration
-		trace    []string
-		failures []string
-	)
-	if *fleetSw {
-		cfg := simtest.FleetSweepConfig{Seeds: progSeeds, Clients: *clients}
-		res := simtest.RunFleetSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	} else if *consens {
-		cfg := simtest.ConsensusSweepConfig{
-			Size: size, ProgSeeds: progSeeds, NetSeeds: netSeeds, KillSends: killSends,
-		}
-		res := simtest.RunConsensusSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	} else if *view {
-		cfg := simtest.ViewSweepConfig{
-			Size: size, ProgSeeds: progSeeds, NetSeeds: netSeeds, Kill1Sends: killSends,
-		}
-		res := simtest.RunViewSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	} else {
-		cfg := simtest.SweepConfig{
-			Size: size, ProgSeeds: progSeeds, NetSeeds: netSeeds, KillSends: killSends,
-		}
-		res := simtest.RunSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	}
+	res := simtest.Sweep(kind.combos(), logf)
 
 	if *tracePth != "" {
-		data := strings.Join(trace, "\n") + "\n"
+		data := strings.Join(res.Trace, "\n") + "\n"
 		if err := atomicio.WriteFile(*tracePth, []byte(data), 0o644); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("swept %d combos (%d program seeds, %d net seeds, size %s) in %v wall: %d failures\n",
-		combos, *progs, *nets, size, elapsed.Round(time.Millisecond), len(failures))
-	for _, f := range failures {
-		fmt.Println(f)
+	fmt.Printf("swept %d combos (%s) in %v wall: %d failures\n",
+		res.Combos, kind.about(), res.Elapsed.Round(time.Millisecond), len(res.Failures))
+	for _, f := range res.Failures {
+		fmt.Printf("FAIL %s\n  replay: %s\n", f.TraceLine(), f.ReplayCommand())
 	}
-	if n := len(failures); n > 0 {
-		return fmt.Errorf("%d of %d combos diverged", n, combos)
+	if n := len(res.Failures); n > 0 {
+		return fmt.Errorf("%d of %d combos diverged", n, res.Combos)
 	}
 	return nil
 }
 
 func runReplay(key, capture string) error {
-	kind, kerr := simtest.ClassifyReplayKey(key)
-	if kerr != nil {
-		return kerr
-	}
-	if capture != "" && kind != simtest.ReplayPair {
-		return fmt.Errorf("-capture only applies to pair combos, not %s keys", kind)
-	}
-	var (
-		line, detail string
-		err          error
-		ref, console []string
-	)
-	switch kind {
-	case simtest.ReplayFleet:
-		cb, perr := simtest.ParseFleetCombo(key)
-		if perr != nil {
-			return perr
-		}
-		out := simtest.RunFleetCombo(cb)
-		fmt.Println(out.TraceLine())
-		if out.Err != nil {
-			return out.Err
-		}
-		if out.Detail != "" {
-			return fmt.Errorf("invariant failure: %s", out.Detail)
-		}
-		return nil
-	case simtest.ReplayConsensus:
-		cb, perr := simtest.ParseConsensusCombo(key)
-		if perr != nil {
-			return perr
-		}
-		out := simtest.RunConsensusCombo(cb, nil, nil)
-		line, detail, err, ref, console = out.TraceLine(), out.Detail, out.Err, out.Ref, out.Console
-	case simtest.ReplayView:
-		cb, perr := simtest.ParseViewCombo(key)
-		if perr != nil {
-			return perr
-		}
-		out := simtest.RunViewCombo(cb, nil, nil)
-		line, detail, err, ref, console = out.TraceLine(), out.Detail, out.Err, out.Ref, out.Console
-	default:
-		cb, perr := simtest.ParseCombo(key)
-		if perr != nil {
-			return perr
-		}
-		cb.Capture = capture
-		out := simtest.RunCombo(cb, nil, nil)
-		line, detail, err, ref, console = out.TraceLine(), out.Detail, out.Err, out.Ref, out.Console
-	}
-	fmt.Println(line)
+	sc, err := simtest.Parse(key)
 	if err != nil {
 		return err
 	}
-	if detail != "" {
+	if capture != "" {
+		cb, ok := sc.(simtest.Combo)
+		if !ok {
+			return fmt.Errorf("-capture only applies to pair combo keys")
+		}
+		cb.Capture = capture
+		sc = cb
+	}
+	out := simtest.Run(sc)
+	fmt.Println(out.TraceLine())
+	if out.Err != nil {
+		return out.Err
+	}
+	if out.Detail == "" {
+		return nil
+	}
+	if out.Ref != nil {
 		fmt.Println("reference console:")
-		for _, ln := range ref {
+		for _, ln := range out.Ref {
 			fmt.Printf("  %s\n", ln)
 		}
 		fmt.Println("simulated console:")
-		for _, ln := range console {
+		for _, ln := range out.Console {
 			fmt.Printf("  %s\n", ln)
 		}
-		return fmt.Errorf("divergence: %s", detail)
 	}
-	return nil
+	return fmt.Errorf("check failed: %s", out.Detail)
 }

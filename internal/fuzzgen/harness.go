@@ -141,7 +141,7 @@ func (c *Config) derive(seed uint64) params {
 // logged records in the live harness — so the schedule is analogous rather
 // than identical; the value is a fully deterministic reproduction vehicle
 // for the same program, mode, and fault family. The format is parsed by
-// simtest.ParseCombo (pinned by a round-trip test there).
+// simtest.Parse as a pair combo (pinned by a round-trip test there).
 func SimReplayKey(f *Failure) string {
 	pr := (&Config{}).derive(f.Seed)
 	kill, fault, at := pr.killAt, "none", 0

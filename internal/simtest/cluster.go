@@ -29,8 +29,9 @@ import (
 	"repro/internal/vm"
 )
 
-// ClusterConfig describes one simulated primary/backup run.
-type ClusterConfig struct {
+// RunConfig is the VM-run part every cluster config shares: the workload,
+// its seeds and quanta, the frame batching and the run's bounds.
+type RunConfig struct {
 	// Program is the compiled workload (required).
 	Program *ftvm.Program
 	// Mode is the replica-coordination mode (required).
@@ -45,9 +46,73 @@ type ClusterConfig struct {
 	// policy uses RecoverMinQ/RecoverMaxQ (defaults 100/900).
 	MinQuantum, MaxQuantum   uint64
 	RecoverMinQ, RecoverMaxQ uint64
-	// FlushEvery batches log records per frame (default 4: many frames, so
-	// kill points land mid-protocol).
+	// FlushEvery batches log records per frame or proposed entry (default 4:
+	// many frames, so kill points land mid-protocol).
 	FlushEvery int
+
+	// MaxInstructions bounds every execution (default 50M).
+	MaxInstructions uint64
+	// WallLimit is the real-time watchdog on the whole simulation
+	// (default 30s): a scheduling bug panics instead of hanging the sweep.
+	WallLimit time.Duration
+}
+
+func (c *RunConfig) fill() error {
+	if c.Program == nil {
+		return errors.New("simtest: nil program")
+	}
+	if c.EnvSeed == 0 {
+		c.EnvSeed = 1234
+	}
+	if c.PolicySeed == 0 {
+		c.PolicySeed = 77
+	}
+	if c.RecoverSeed == 0 {
+		c.RecoverSeed = 4242
+	}
+	if c.MinQuantum == 0 {
+		c.MinQuantum = 64
+	}
+	if c.MaxQuantum < c.MinQuantum {
+		c.MaxQuantum = c.MinQuantum * 8
+	}
+	if c.RecoverMinQ == 0 {
+		c.RecoverMinQ = 100
+	}
+	if c.RecoverMaxQ < c.RecoverMinQ {
+		c.RecoverMaxQ = c.RecoverMinQ * 9
+	}
+	if c.FlushEvery == 0 {
+		c.FlushEvery = 4
+	}
+	if c.MaxInstructions == 0 {
+		c.MaxInstructions = 50_000_000
+	}
+	if c.WallLimit == 0 {
+		c.WallLimit = 30 * time.Second
+	}
+	return nil
+}
+
+// simulate runs body as a clock actor on a fresh virtual clock, under a
+// real-time watchdog, and returns when it does. The calling goroutine is not
+// an actor, so it may join with a plain WaitGroup without stalling virtual
+// time.
+func simulate(wallLimit time.Duration, body func(clk *clock.Virtual)) {
+	clk := clock.NewVirtual()
+	defer clk.Watchdog(wallLimit)()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	clk.Go(func() {
+		defer wg.Done()
+		body(clk)
+	})
+	wg.Wait()
+}
+
+// ClusterConfig describes one simulated primary/backup run.
+type ClusterConfig struct {
+	RunConfig
 
 	// Net shapes the simulated link (Net.Seed drives latency and reorder
 	// draws; zero delays get simnet's defaults).
@@ -76,11 +141,6 @@ type ClusterConfig struct {
 	// Dispatch selects the interpreter engine for the primary and the
 	// recovery VM (default threaded, like every production path).
 	Dispatch ftvm.Dispatch
-	// MaxInstructions bounds every execution (default 50M).
-	MaxInstructions uint64
-	// WallLimit is the real-time watchdog on the whole simulation
-	// (default 30s): a scheduling bug panics instead of hanging the sweep.
-	WallLimit time.Duration
 
 	// Capture, when non-empty, writes the backup's replication log as a
 	// durable .ftlog file (see replication.EncodeLog) after the schedule
@@ -91,46 +151,13 @@ type ClusterConfig struct {
 }
 
 func (c *ClusterConfig) fill() error {
-	if c.Program == nil {
-		return errors.New("simtest: nil program")
-	}
-	if c.EnvSeed == 0 {
-		c.EnvSeed = 1234
-	}
-	if c.PolicySeed == 0 {
-		c.PolicySeed = 77
-	}
-	if c.RecoverSeed == 0 {
-		c.RecoverSeed = 4242
-	}
-	if c.MinQuantum == 0 {
-		c.MinQuantum = 64
-	}
-	if c.MaxQuantum < c.MinQuantum {
-		c.MaxQuantum = c.MinQuantum * 8
-	}
-	if c.RecoverMinQ == 0 {
-		c.RecoverMinQ = 100
-	}
-	if c.RecoverMaxQ < c.RecoverMinQ {
-		c.RecoverMaxQ = c.RecoverMinQ * 9
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 4
-	}
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 10 * time.Millisecond
 	}
 	if c.FailureTimeout == 0 {
 		c.FailureTimeout = 50 * time.Millisecond
 	}
-	if c.MaxInstructions == 0 {
-		c.MaxInstructions = 50_000_000
-	}
-	if c.WallLimit == 0 {
-		c.WallLimit = 30 * time.Second
-	}
-	return nil
+	return c.RunConfig.fill()
 }
 
 // ClusterResult reports what one simulated schedule did. Every field is a
@@ -168,27 +195,11 @@ type ClusterResult struct {
 // replication contract broke (e.g. the backup saw a clean halt but the
 // primary failed for a reason other than a lost backup), not merely that the
 // injected failure fired.
-func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
+func RunCluster(cfg ClusterConfig) (res *ClusterResult, err error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(cfg.WallLimit)()
-
-	// The whole pair runs inside clock actors; the calling goroutine is not
-	// an actor, so it may join with a plain WaitGroup without stalling
-	// virtual time.
-	var (
-		res *ClusterResult
-		err error
-		wg  sync.WaitGroup
-	)
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
-		res, err = runCluster(clk, &cfg)
-	})
-	wg.Wait()
+	simulate(cfg.WallLimit, func(clk *clock.Virtual) { res, err = runCluster(clk, &cfg) })
 	return res, err
 }
 

@@ -3,7 +3,6 @@ package simtest
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,18 +25,7 @@ import (
 // asymmetric partition that heals), wrap one link in a transport fault, or
 // inject a stale-term frame.
 type ConsensusClusterConfig struct {
-	// Program is the compiled workload (required).
-	Program *ftvm.Program
-	// Mode is the replica-coordination mode (required).
-	Mode ftvm.Mode
-
-	// EnvSeed / PolicySeed / RecoverSeed mirror ClusterConfig (defaults
-	// 1234 / 77 / 4242).
-	EnvSeed, PolicySeed, RecoverSeed int64
-	MinQuantum, MaxQuantum           uint64
-	RecoverMinQ, RecoverMaxQ         uint64
-	// FlushEvery batches log records per proposed entry (default 4).
-	FlushEvery int
+	RunConfig
 
 	// ConsensusSeed pins the cluster's election timeout streams (the eseed
 	// axis; default 1).
@@ -75,53 +63,16 @@ type ConsensusClusterConfig struct {
 
 	// AckTimeout bounds each output-commit wait (default 2s virtual).
 	AckTimeout time.Duration
-	// MaxInstructions bounds every execution (default 50M).
-	MaxInstructions uint64
-	// WallLimit is the real-time watchdog (default 30s).
-	WallLimit time.Duration
 }
 
 func (c *ConsensusClusterConfig) fill() error {
-	if c.Program == nil {
-		return errors.New("simtest: nil program")
-	}
-	if c.EnvSeed == 0 {
-		c.EnvSeed = 1234
-	}
-	if c.PolicySeed == 0 {
-		c.PolicySeed = 77
-	}
-	if c.RecoverSeed == 0 {
-		c.RecoverSeed = 4242
-	}
-	if c.MinQuantum == 0 {
-		c.MinQuantum = 64
-	}
-	if c.MaxQuantum < c.MinQuantum {
-		c.MaxQuantum = c.MinQuantum * 8
-	}
-	if c.RecoverMinQ == 0 {
-		c.RecoverMinQ = 100
-	}
-	if c.RecoverMaxQ < c.RecoverMinQ {
-		c.RecoverMaxQ = c.RecoverMinQ * 9
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 4
-	}
 	if c.ConsensusSeed == 0 {
 		c.ConsensusSeed = 1
 	}
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 2 * time.Second
 	}
-	if c.MaxInstructions == 0 {
-		c.MaxInstructions = 50_000_000
-	}
-	if c.WallLimit == 0 {
-		c.WallLimit = 30 * time.Second
-	}
-	return nil
+	return c.RunConfig.fill()
 }
 
 // ConsensusClusterResult reports what one simulated consensus schedule did.
@@ -159,24 +110,11 @@ type ConsensusClusterResult struct {
 // virtual clock. An error means the harness or the protocol contract broke
 // (survivors failed to elect, committed log undecodable, recovery failed) —
 // not merely that the injected failure fired.
-func RunConsensusCluster(cfg ConsensusClusterConfig) (*ConsensusClusterResult, error) {
+func RunConsensusCluster(cfg ConsensusClusterConfig) (res *ConsensusClusterResult, err error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(cfg.WallLimit)()
-
-	var (
-		res *ConsensusClusterResult
-		err error
-		wg  sync.WaitGroup
-	)
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
-		res, err = runConsensusCluster(clk, &cfg)
-	})
-	wg.Wait()
+	simulate(cfg.WallLimit, func(clk *clock.Virtual) { res, err = runConsensusCluster(clk, &cfg) })
 	return res, err
 }
 

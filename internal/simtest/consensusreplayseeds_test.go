@@ -63,18 +63,4 @@ var consensusReplaySeeds = []struct {
 // TestConsensusReplaySeeds replays the consensus regression table. A failure
 // here means a previously-fixed failure class has reopened; the table line
 // is the repro.
-func TestConsensusReplaySeeds(t *testing.T) {
-	for _, rs := range consensusReplaySeeds {
-		t.Run(rs.class, func(t *testing.T) {
-			cb, err := ParseConsensusCombo(rs.key)
-			if err != nil {
-				t.Fatalf("table entry %q: %v", rs.key, err)
-			}
-			out := RunConsensusCombo(cb, nil, nil)
-			if out.Failed() {
-				t.Fatalf("regression in %q:\n%s\nreplay: %s", rs.class, out.TraceLine(), out.ReplayCommand())
-			}
-			t.Logf("%s", out.TraceLine())
-		})
-	}
-}
+func TestConsensusReplaySeeds(t *testing.T) { replayTable(t, consensusReplaySeeds) }

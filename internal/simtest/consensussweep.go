@@ -2,13 +2,9 @@ package simtest
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"time"
 
 	ftvm "repro"
 	"repro/internal/fuzzgen"
-	"repro/internal/simtest/clock"
 	"repro/internal/simtest/simnet"
 	"repro/internal/transport"
 )
@@ -17,10 +13,9 @@ import (
 // mode, and a fault schedule over the 3-replica replicated log — who dies at
 // which exact protocol send, which leader lane partitions for how long, which
 // link misbehaves, whether a stale-term frame probes a follower, and which
-// election seed times the campaigns. Its Key() round-trips through
-// ParseConsensusCombo, so any failing combo replays from a single string:
+// election seed times the campaigns. Its key looks like
 //
-//	go run ./cmd/ftvm-sim -replay "prog=7,size=small,mode=sched,who=leader,kill=12,deliver=1,part=0+0,inject=0,fault=none@0,eseed=1,net=3,reorder=1/8"
+//	prog=7,size=small,mode=sched,who=leader,kill=12,deliver=1,part=0+0,inject=0,fault=none@0,eseed=1,net=3,reorder=1/8
 type ConsensusCombo struct {
 	ProgSeed    uint64
 	Size        fuzzgen.Size
@@ -39,113 +34,42 @@ type ConsensusCombo struct {
 	ReorderDen  int
 }
 
-// Key renders the combo as its canonical replay string. The "who=" field is
-// what distinguishes a consensus replay from pair, view, and fleet replays.
-func (cb ConsensusCombo) Key() string {
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
+func (cb *ConsensusCombo) fields() []field {
+	return []field{
+		{name: "prog", val: uintVal(&cb.ProgSeed)},
+		{name: "size", val: sizeVal(&cb.Size)},
+		{name: "mode", val: modeVal(&cb.Mode)},
+		{name: "who", val: scalar[bool]{&cb.KillLeader,
+			func(leader bool) string {
+				if leader {
+					return "leader"
+				}
+				return "follower"
+			},
+			func(s string) (bool, error) {
+				if s != "leader" && s != "follower" {
+					return false, fmt.Errorf("who %q is neither leader nor follower", s)
+				}
+				return s == "leader", nil
+			}}},
+		{name: "kill", val: intVal(&cb.KillAtSend)},
+		{name: "deliver", val: boolVal(&cb.KillDeliver)},
+		{name: "part", val: joined{"+", intVal(&cb.PartAt), intVal(&cb.PartLen)}},
+		{name: "inject", val: boolVal(&cb.InjectStale)},
+		{name: "fault", val: faultVal(&cb.FaultKind, &cb.FaultAt)},
+		{name: "eseed", val: uintVal(&cb.ESeed)},
+		{name: "net", val: int64Val(&cb.NetSeed)},
+		{name: "reorder", val: reorderVal(&cb.ReorderNum, &cb.ReorderDen)},
 	}
-	who := "follower"
-	if cb.KillLeader {
-		who = "leader"
-	}
-	return fmt.Sprintf("prog=%d,size=%s,mode=%s,who=%s,kill=%d,deliver=%d,part=%d+%d,inject=%d,fault=%s@%d,eseed=%d,net=%d,reorder=%d/%d",
-		cb.ProgSeed, cb.Size, cb.Mode, who,
-		cb.KillAtSend, b2i(cb.KillDeliver), cb.PartAt, cb.PartLen, b2i(cb.InjectStale),
-		cb.FaultKind, cb.FaultAt, cb.ESeed, cb.NetSeed, cb.ReorderNum, cb.ReorderDen)
 }
 
-// IsConsensusKey reports whether a replay string denotes a well-formed
-// consensus combo (ParseConsensusCombo) rather than a pair, view, or fleet
-// combo.
-func IsConsensusKey(key string) bool {
-	k, err := ClassifyReplayKey(key)
-	return err == nil && k == ReplayConsensus
-}
+// Key renders the combo as its canonical replay string.
+func (cb ConsensusCombo) Key() string { return encodeKey(cb.fields()) }
 
-// ParseConsensusCombo parses a Key()-formatted replay string.
-func ParseConsensusCombo(key string) (ConsensusCombo, error) {
-	var cb ConsensusCombo
-	for _, field := range strings.Split(key, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return cb, fmt.Errorf("combo field %q is not key=value", field)
-		}
-		var err error
-		switch k {
-		case "prog":
-			cb.ProgSeed, err = strconv.ParseUint(v, 0, 64)
-		case "size":
-			cb.Size, err = fuzzgen.SizeByName(v)
-		case "mode":
-			cb.Mode, err = modeByName(v)
-		case "who":
-			switch v {
-			case "leader":
-				cb.KillLeader = true
-			case "follower":
-				cb.KillLeader = false
-			default:
-				err = fmt.Errorf("who %q is neither leader nor follower", v)
-			}
-		case "kill":
-			cb.KillAtSend, err = strconv.Atoi(v)
-		case "deliver":
-			cb.KillDeliver = v == "1" || v == "true"
-		case "part":
-			at, length, ok := strings.Cut(v, "+")
-			if !ok {
-				return cb, fmt.Errorf("part %q is not at+len", v)
-			}
-			if cb.PartAt, err = strconv.Atoi(at); err == nil {
-				cb.PartLen, err = strconv.Atoi(length)
-			}
-		case "inject":
-			cb.InjectStale = v == "1" || v == "true"
-		case "fault":
-			kind, at, ok := strings.Cut(v, "@")
-			if !ok {
-				return cb, fmt.Errorf("fault %q is not kind@index", v)
-			}
-			if cb.FaultKind, err = faultKindByName(kind); err == nil {
-				cb.FaultAt, err = strconv.Atoi(at)
-			}
-		case "eseed":
-			cb.ESeed, err = strconv.ParseUint(v, 0, 64)
-		case "net":
-			cb.NetSeed, err = strconv.ParseInt(v, 0, 64)
-		case "reorder":
-			num, den, ok := strings.Cut(v, "/")
-			if !ok {
-				return cb, fmt.Errorf("reorder %q is not num/den", v)
-			}
-			if cb.ReorderNum, err = strconv.Atoi(num); err == nil {
-				cb.ReorderDen, err = strconv.Atoi(den)
-			}
-		default:
-			return cb, fmt.Errorf("unknown consensus combo field %q", k)
-		}
-		if err != nil {
-			return cb, fmt.Errorf("consensus combo field %q: %w", field, err)
-		}
-	}
-	return cb, nil
-}
-
-// consensusClusterConfig expands the combo into its cluster configuration
-// (same seed derivation as the pair sweep, so a program keeps its environment
-// and schedules across all four harnesses).
+// consensusClusterConfig expands the combo into its cluster configuration.
 func (cb ConsensusCombo) consensusClusterConfig(prog *ftvm.Program) ConsensusClusterConfig {
-	envSeed, polRef, polRec := deriveSeeds(cb.ProgSeed)
 	return ConsensusClusterConfig{
-		Program:       prog,
-		Mode:          cb.Mode,
-		EnvSeed:       envSeed,
-		PolicySeed:    polRef,
-		RecoverSeed:   polRec,
+		RunConfig:     runConfig(prog, cb.Mode, cb.ProgSeed),
 		ConsensusSeed: cb.ESeed,
 		Net: simnet.Config{
 			Seed:       cb.NetSeed,
@@ -163,76 +87,24 @@ func (cb ConsensusCombo) consensusClusterConfig(prog *ftvm.Program) ConsensusClu
 	}
 }
 
-// ConsensusComboOutcome is one consensus combo's deterministic result plus
-// the comparison verdict against the failure-free reference.
-type ConsensusComboOutcome struct {
-	Combo   ConsensusCombo
-	Result  *ConsensusClusterResult
-	Detail  string // "" when the output matched the reference
-	Err     error
-	Ref     []string
-	Console []string
-}
-
-// Failed reports whether the combo diverged or errored.
-func (o *ConsensusComboOutcome) Failed() bool { return o.Err != nil || o.Detail != "" }
-
-// TraceLine renders the combo's structural outcome from deterministic fields
-// only, so a whole sweep's trace is byte-identical across runs.
-func (o *ConsensusComboOutcome) TraceLine() string {
-	var sb strings.Builder
-	sb.WriteString(o.Combo.Key())
-	sb.WriteString(" -> ")
-	if o.Err != nil {
-		fmt.Fprintf(&sb, "ERROR %v", o.Err)
-		return sb.String()
-	}
-	r := o.Result
-	fmt.Fprintf(&sb, "killed=%t recovered=%t leader=%d->%d term=%d records=%d stale=%d malformed=%d vtime=%s console=%d",
-		r.Killed, r.Recovered, r.FirstLeader, r.FinalLeader, r.FinalTerm,
-		r.RecordsLogged, r.StaleTerms, r.Malformed, r.VirtualElapsed, len(r.Console))
-	if o.Detail != "" {
-		fmt.Fprintf(&sb, " DIVERGE %s", o.Detail)
-	} else {
-		sb.WriteString(" ok")
-	}
-	return sb.String()
-}
-
-// ReplayCommand renders the shell command that reproduces this combo alone.
-func (o *ConsensusComboOutcome) ReplayCommand() string {
-	return fmt.Sprintf("go run ./cmd/ftvm-sim -replay %q", o.Combo.Key())
-}
-
-// RunConsensusCombo plays the combo's schedule on the simulated consensus
-// cluster and compares the surviving output against the failure-free
-// reference. Beyond output equality it asserts the stale-term contract: an
-// injected stale frame must be rejected and counted, never acted on.
-func RunConsensusCombo(cb ConsensusCombo, prog *ftvm.Program, ref []string) *ConsensusComboOutcome {
-	out := &ConsensusComboOutcome{Combo: cb}
-	if prog == nil {
-		var err error
-		prog, ref, err = comboProgram(Combo{ProgSeed: cb.ProgSeed, Size: cb.Size})
-		if err != nil {
-			out.Err = err
-			return out
-		}
-	}
-	out.Ref = ref
-
-	res, err := RunConsensusCluster(cb.consensusClusterConfig(prog))
-	out.Result = res
-	if err != nil {
-		out.Err = err
+// run plays the schedule on the simulated consensus cluster and compares the
+// surviving output with the failure-free reference. Beyond output equality
+// it asserts the stale-term contract: an injected stale frame must be
+// rejected and counted, never acted on.
+func (cb ConsensusCombo) run(progs programCache) *Outcome {
+	out, prog := startVM(cb.Key(), progs, cb.ProgSeed, cb.Size)
+	if out.Err != nil {
 		return out
 	}
-	out.Console = res.Console
-	if detail, ok := fuzzgen.CompareFrames(ref, res.Console); !ok {
-		out.Detail = detail
+	r, err := RunConsensusCluster(cb.consensusClusterConfig(prog))
+	if out.Err = err; err != nil {
+		return out
 	}
-	if cb.InjectStale && res.StaleTerms == 0 {
-		out.Detail = strings.TrimSpace(out.Detail +
-			" stale-term frame was injected but never rejected (follower acted on old-term traffic?)")
+	out.compare(r.Console, "killed=%t recovered=%t leader=%d->%d term=%d records=%d stale=%d malformed=%d vtime=%s console=%d",
+		r.Killed, r.Recovered, r.FirstLeader, r.FinalLeader, r.FinalTerm,
+		r.RecordsLogged, r.StaleTerms, r.Malformed, r.VirtualElapsed, len(r.Console))
+	if cb.InjectStale && r.StaleTerms == 0 {
+		out.fail("stale-term frame was injected but never rejected (follower acted on old-term traffic?)")
 	}
 	return out
 }
@@ -242,12 +114,7 @@ func RunConsensusCombo(cb ConsensusCombo, prog *ftvm.Program, ref []string) *Con
 // and follower kills per position, healing partition windows on the leader
 // lane, one run per link fault, and a stale-injection run.
 type ConsensusSweepConfig struct {
-	// ProgSeeds are the generated-program seeds (required).
-	ProgSeeds []uint64
-	// Size is the generated-program size tier (default SizeSmall).
-	Size fuzzgen.Size
-	// Modes defaults to all three replica-coordination modes.
-	Modes []ftvm.Mode
+	VMSpace
 	// KillSends are crash positions in victim protocol sends (default
 	// 2, 5, 12 — first appends through mid-stream).
 	KillSends []int
@@ -258,16 +125,10 @@ type ConsensusSweepConfig struct {
 	Faults []transport.FaultPlan
 	// ESeeds vary the election timeout streams (default {1}).
 	ESeeds []uint64
-	// NetSeeds vary latency/reorder draws (default {1}).
-	NetSeeds []int64
-	// ReorderNum/ReorderDen give every link its reorder chance (default 1/8).
-	ReorderNum, ReorderDen int
 }
 
-func (c *ConsensusSweepConfig) fill() {
-	if len(c.Modes) == 0 {
-		c.Modes = []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched, ftvm.ModeLockInterval}
-	}
+// Combos expands the configuration into the full deterministic schedule list.
+func (c ConsensusSweepConfig) Combos() []Scenario {
 	if len(c.KillSends) == 0 {
 		c.KillSends = []int{2, 5, 12}
 	}
@@ -283,103 +144,40 @@ func (c *ConsensusSweepConfig) fill() {
 	if len(c.ESeeds) == 0 {
 		c.ESeeds = []uint64{1}
 	}
-	if len(c.NetSeeds) == 0 {
-		c.NetSeeds = []int64{1}
-	}
-	if c.ReorderDen == 0 {
-		c.ReorderNum, c.ReorderDen = 1, 8
-	}
-}
-
-// Combos expands the configuration into the full deterministic schedule list.
-func (c *ConsensusSweepConfig) Combos() []ConsensusCombo {
-	c.fill()
-	var out []ConsensusCombo
-	for _, prog := range c.ProgSeeds {
-		for _, mode := range c.Modes {
-			for _, net := range c.NetSeeds {
-				for _, es := range c.ESeeds {
-					base := ConsensusCombo{
-						ProgSeed: prog, Size: c.Size, Mode: mode,
-						ESeed: es, NetSeed: net,
-						ReorderNum: c.ReorderNum, ReorderDen: c.ReorderDen,
-					}
-					out = append(out, base) // clean run
-					inj := base
-					inj.InjectStale = true
-					out = append(out, inj)
-					for i, kill := range c.KillSends {
-						lk := base
-						lk.KillLeader = true
-						lk.KillAtSend = kill
-						lk.KillDeliver = i%2 == 1
-						out = append(out, lk)
-						fk := base
-						fk.KillAtSend = kill
-						fk.KillDeliver = i%2 == 0
-						out = append(out, fk)
-					}
-					for _, p := range c.Partitions {
-						pc := base
-						pc.PartAt, pc.PartLen = p[0], p[1]
-						out = append(out, pc)
-					}
-					for _, f := range c.Faults {
-						fc := base
-						fc.FaultKind, fc.FaultAt = f.Kind, f.At
-						out = append(out, fc)
-					}
-				}
+	var out []Scenario
+	c.each(func(prog uint64, mode ftvm.Mode, net int64) {
+		for _, es := range c.ESeeds {
+			base := ConsensusCombo{
+				ProgSeed: prog, Size: c.Size, Mode: mode,
+				ESeed: es, NetSeed: net,
+				ReorderNum: c.ReorderNum, ReorderDen: c.ReorderDen,
+			}
+			out = append(out, base) // clean run
+			inj := base
+			inj.InjectStale = true
+			out = append(out, inj)
+			for i, kill := range c.KillSends {
+				lk := base
+				lk.KillLeader = true
+				lk.KillAtSend = kill
+				lk.KillDeliver = i%2 == 1
+				out = append(out, lk)
+				fk := base
+				fk.KillAtSend = kill
+				fk.KillDeliver = i%2 == 0
+				out = append(out, fk)
+			}
+			for _, p := range c.Partitions {
+				pc := base
+				pc.PartAt, pc.PartLen = p[0], p[1]
+				out = append(out, pc)
+			}
+			for _, f := range c.Faults {
+				fc := base
+				fc.FaultKind, fc.FaultAt = f.Kind, f.At
+				out = append(out, fc)
 			}
 		}
-	}
+	})
 	return out
-}
-
-// ConsensusSweepResult is the outcome of a full consensus sweep.
-type ConsensusSweepResult struct {
-	Combos   int
-	Failures []*ConsensusComboOutcome
-	Trace    []string
-	Elapsed  time.Duration // wall time (reporting only; never in the trace)
-}
-
-// RunConsensusSweep plays every combo in order, emitting one trace line per
-// combo via logf (nil = collect only). The trace is a pure function of the
-// configuration.
-func RunConsensusSweep(cfg ConsensusSweepConfig, logf func(string)) *ConsensusSweepResult {
-	combos := cfg.Combos()
-	res := &ConsensusSweepResult{Combos: len(combos)}
-	t0 := clock.Real.Now()
-
-	type cached struct {
-		prog *ftvm.Program
-		ref  []string
-		err  error
-	}
-	progs := map[uint64]*cached{}
-	for _, cb := range combos {
-		ca := progs[cb.ProgSeed]
-		if ca == nil {
-			ca = &cached{}
-			ca.prog, ca.ref, ca.err = comboProgram(Combo{ProgSeed: cb.ProgSeed, Size: cb.Size})
-			progs[cb.ProgSeed] = ca
-		}
-		var out *ConsensusComboOutcome
-		if ca.err != nil {
-			out = &ConsensusComboOutcome{Combo: cb, Err: ca.err}
-		} else {
-			out = RunConsensusCombo(cb, ca.prog, ca.ref)
-		}
-		line := out.TraceLine()
-		res.Trace = append(res.Trace, line)
-		if logf != nil {
-			logf(line)
-		}
-		if out.Failed() {
-			res.Failures = append(res.Failures, out)
-		}
-	}
-	res.Elapsed = clock.Real.Since(t0)
-	return res
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	ftvm "repro"
+	"repro/internal/fuzzgen"
 	"repro/internal/transport"
 )
 
@@ -17,7 +18,7 @@ func TestConsensusComboKeyRoundTrip(t *testing.T) {
 		ESeed: 11, NetSeed: 5, ReorderNum: 1, ReorderDen: 8,
 	}
 	key := cb.Key()
-	back, err := ParseConsensusCombo(key)
+	back, err := Parse(key)
 	if err != nil {
 		t.Fatalf("parse %q: %v", key, err)
 	}
@@ -33,16 +34,12 @@ func TestIsConsensusKeyDispatch(t *testing.T) {
 	consensusKey := ConsensusCombo{ProgSeed: 1, Mode: ftvm.ModeLock}.Key()
 	pairKey := Combo{ProgSeed: 1, Mode: ftvm.ModeLock}.Key()
 	viewKey := ViewCombo{ProgSeed: 1, Mode: ftvm.ModeLock}.Key()
-	if !IsConsensusKey(consensusKey) {
-		t.Fatalf("consensus key not recognized: %q", consensusKey)
-	}
-	for _, other := range []string{pairKey, viewKey} {
-		if IsConsensusKey(other) {
-			t.Fatalf("non-consensus key misdispatched: %q", other)
+	for key, want := range map[string]ReplayKind{
+		consensusKey: ReplayConsensus, pairKey: ReplayPair, viewKey: ReplayView,
+	} {
+		if got, err := ClassifyReplayKey(key); err != nil || got != want {
+			t.Fatalf("ClassifyReplayKey(%q) = %v, %v; want %v", key, got, err, want)
 		}
-	}
-	if IsViewKey(consensusKey) || IsFleetKey(consensusKey) {
-		t.Fatalf("consensus key claimed by another harness: %q", consensusKey)
 	}
 }
 
@@ -52,10 +49,10 @@ func TestIsConsensusKeyDispatch(t *testing.T) {
 // on the remaining majority, and stale injections were rejected.
 func TestRunConsensusSweep(t *testing.T) {
 	cfg := ConsensusSweepConfig{
-		ProgSeeds: []uint64{1, 2},
+		VMSpace:   VMSpace{ProgSeeds: []uint64{1, 2}},
 		KillSends: []int{2, 5},
 	}
-	res := RunConsensusSweep(cfg, nil)
+	res := Sweep(cfg.Combos(), nil)
 	for _, f := range res.Failures {
 		t.Errorf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand())
 	}
@@ -81,16 +78,16 @@ func TestRunConsensusSweep(t *testing.T) {
 
 // TestConsensusTraceDeterminism replays the same configuration twice and
 // requires byte-identical traces — elections, kills, partitions, commit
-// timing and all. This is the property that makes a printed replay string a
-// real repro.
+// timing and all, pinned by hash across commits. This is the property that
+// makes a printed replay string a real repro.
 func TestConsensusTraceDeterminism(t *testing.T) {
 	cfg := ConsensusSweepConfig{
-		ProgSeeds: []uint64{3},
+		VMSpace:   VMSpace{ProgSeeds: []uint64{3}},
 		KillSends: []int{2, 5},
 		ESeeds:    []uint64{1, 7}, // 7: a contested election (simultaneous candidacies)
 	}
-	a := RunConsensusSweep(cfg, nil)
-	b := RunConsensusSweep(cfg, nil)
+	a := Sweep(cfg.Combos(), nil)
+	b := Sweep(cfg.Combos(), nil)
 	if len(a.Trace) != len(b.Trace) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a.Trace), len(b.Trace))
 	}
@@ -99,13 +96,14 @@ func TestConsensusTraceDeterminism(t *testing.T) {
 			t.Fatalf("trace line %d differs:\n  %s\n  %s", i, a.Trace[i], b.Trace[i])
 		}
 	}
+	pinTrace(t, a.Trace, "c7b6f06fe0ccc37555edc4aa2570ec0148834897613aa6f29500ed89def11fca")
 }
 
 // TestConsensusFollowerKillKeepsMajority pins the follower-kill contract
 // directly: the run completes without recovery, on the leader's term,
 // through the surviving majority.
 func TestConsensusFollowerKillKeepsMajority(t *testing.T) {
-	prog, ref, err := comboProgram(Combo{ProgSeed: 2})
+	prog, ref, err := comboProgram(2, fuzzgen.SizeSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +112,11 @@ func TestConsensusFollowerKillKeepsMajority(t *testing.T) {
 		KillAtSend: 3, // follower's 3rd protocol send
 		ESeed:      1, NetSeed: 1, ReorderNum: 1, ReorderDen: 8,
 	}
-	out := RunConsensusCombo(cb, prog, ref)
-	if out.Failed() {
-		t.Fatalf("follower kill diverged: %s", out.TraceLine())
+	r, err := RunConsensusCluster(cb.consensusClusterConfig(prog))
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := out.Result
+	mustAgree(t, ref, r.Console, "follower-kill output")
 	if r.Killed || r.Recovered {
 		t.Fatalf("follower kill must not kill the VM or force recovery: %+v", r)
 	}

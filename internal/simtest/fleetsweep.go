@@ -2,7 +2,6 @@ package simtest
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -14,10 +13,9 @@ import (
 // FleetCombo is one point of the sharded-fleet sweep: a fleet shape, a seeded
 // open-loop workload, up to two node kills inside the arrival window, one
 // replication-hop fault plan, and optionally a stale-epoch frame probe after
-// the run. Its Key() round-trips through ParseFleetCombo, so any failing
-// combo replays from a single string:
+// the run. Its key looks like
 //
-//	go run ./cmd/ftvm-sim -replay "seed=7,nodes=4,shards=8,clients=2000,ops=3,ka=2@300,kb=0@0,fault=ackdrop/13,inject=1"
+//	seed=7,nodes=4,shards=8,clients=2000,ops=3,ka=2@300,kb=0@0,fault=ackdrop/13,inject=1
 type FleetCombo struct {
 	Seed    uint64
 	Nodes   int
@@ -38,130 +36,22 @@ type FleetCombo struct {
 	InjectStale bool
 }
 
-// Key renders the combo as its canonical replay string. The "clients=" field
-// is what distinguishes a fleet replay from a pair or view-cluster replay.
-func (cb FleetCombo) Key() string {
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
+func (cb *FleetCombo) fields() []field {
+	return []field{
+		{name: "seed", val: uintVal(&cb.Seed)},
+		{name: "nodes", val: intVal(&cb.Nodes)},
+		{name: "shards", val: intVal(&cb.Shards)},
+		{name: "clients", val: intVal(&cb.Clients)},
+		{name: "ops", val: intVal(&cb.Ops)},
+		{name: "ka", val: joined{"@", intVal(&cb.Kill1Node), msVal(&cb.Kill1At)}},
+		{name: "kb", val: joined{"@", intVal(&cb.Kill2Node), msVal(&cb.Kill2At)}},
+		{name: "fault", val: joined{"/", stringVal(&cb.Fault), uintVal(&cb.FaultEvery)}},
+		{name: "inject", val: boolVal(&cb.InjectStale)},
 	}
-	return fmt.Sprintf("seed=%d,nodes=%d,shards=%d,clients=%d,ops=%d,ka=%d@%d,kb=%d@%d,fault=%s/%d,inject=%d",
-		cb.Seed, cb.Nodes, cb.Shards, cb.Clients, cb.Ops,
-		cb.Kill1Node, cb.Kill1At/time.Millisecond,
-		cb.Kill2Node, cb.Kill2At/time.Millisecond,
-		cb.Fault, cb.FaultEvery, b2i(cb.InjectStale))
 }
 
-// IsFleetKey reports whether a replay string denotes a well-formed fleet
-// combo (ParseFleetCombo) rather than a pair or view-cluster combo.
-func IsFleetKey(key string) bool {
-	k, err := ClassifyReplayKey(key)
-	return err == nil && k == ReplayFleet
-}
-
-// ParseFleetCombo parses a Key()-formatted replay string.
-func ParseFleetCombo(key string) (FleetCombo, error) {
-	var cb FleetCombo
-	kill := func(v string) (int, time.Duration, error) {
-		node, at, ok := strings.Cut(v, "@")
-		if !ok {
-			return 0, 0, fmt.Errorf("kill %q is not node@ms", v)
-		}
-		n, err := strconv.Atoi(node)
-		if err != nil {
-			return 0, 0, err
-		}
-		ms, err := strconv.Atoi(at)
-		if err != nil {
-			return 0, 0, err
-		}
-		return n, time.Duration(ms) * time.Millisecond, nil
-	}
-	for _, field := range strings.Split(key, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return cb, fmt.Errorf("combo field %q is not key=value", field)
-		}
-		var err error
-		switch k {
-		case "seed":
-			cb.Seed, err = strconv.ParseUint(v, 0, 64)
-		case "nodes":
-			cb.Nodes, err = strconv.Atoi(v)
-		case "shards":
-			cb.Shards, err = strconv.Atoi(v)
-		case "clients":
-			cb.Clients, err = strconv.Atoi(v)
-		case "ops":
-			cb.Ops, err = strconv.Atoi(v)
-		case "ka":
-			cb.Kill1Node, cb.Kill1At, err = kill(v)
-		case "kb":
-			cb.Kill2Node, cb.Kill2At, err = kill(v)
-		case "fault":
-			kind, every, ok := strings.Cut(v, "/")
-			if !ok {
-				return cb, fmt.Errorf("fault %q is not kind/every", v)
-			}
-			cb.Fault = kind
-			cb.FaultEvery, err = strconv.ParseUint(every, 0, 64)
-		case "inject":
-			cb.InjectStale = v == "1" || v == "true"
-		default:
-			return cb, fmt.Errorf("unknown fleet combo field %q", k)
-		}
-		if err != nil {
-			return cb, fmt.Errorf("fleet combo field %q: %w", field, err)
-		}
-	}
-	return cb, nil
-}
-
-// FleetComboOutcome is one fleet combo's deterministic result plus the
-// verdict of the post-run invariant checks.
-type FleetComboOutcome struct {
-	Combo FleetCombo
-	Stats *loadgen.Stats
-	// Detail is "" when every invariant held: all requests completed, the
-	// model verified at-most-once execution, kills promoted, blast stayed
-	// under the killed node's share, and injected stale frames were dropped.
-	Detail string
-	Err    error
-}
-
-// Failed reports whether the combo errored or broke an invariant.
-func (o *FleetComboOutcome) Failed() bool { return o.Err != nil || o.Detail != "" }
-
-// TraceLine renders the combo's outcome from deterministic fields only, so a
-// whole sweep's trace is byte-identical across runs.
-func (o *FleetComboOutcome) TraceLine() string {
-	var sb strings.Builder
-	sb.WriteString(o.Combo.Key())
-	sb.WriteString(" -> ")
-	if o.Err != nil {
-		fmt.Fprintf(&sb, "ERROR %v", o.Err)
-		return sb.String()
-	}
-	st := o.Stats
-	fmt.Fprintf(&sb, "oks=%d req=%d retries=%d silent=%d unavail=%d notowner=%d exec=%d dup=%d resent=%d promos=%d transfers=%d stale=%d blast=%d/%d p50=%s p99=%s vtime=%s sum=%016x",
-		st.OKs, st.Requests, st.Retries, st.Silent, st.Unavailable, st.NotOwner,
-		st.Fleet.Executed, st.Fleet.DupHits, st.Fleet.Resent,
-		st.Fleet.Promotions, st.Fleet.Transfers, st.Fleet.StaleFrames,
-		st.TenantsBlasted, st.TenantsActive, st.P50, st.P99, st.Elapsed, st.Checksum)
-	if o.Detail != "" {
-		fmt.Fprintf(&sb, " FAIL %s", o.Detail)
-	} else {
-		sb.WriteString(" ok")
-	}
-	return sb.String()
-}
-
-// ReplayCommand renders the shell command that reproduces this combo alone.
-func (o *FleetComboOutcome) ReplayCommand() string {
-	return fmt.Sprintf("go run ./cmd/ftvm-sim -replay %q", o.Combo.Key())
-}
+// Key renders the combo as its canonical replay string.
+func (cb FleetCombo) Key() string { return encodeKey(cb.fields()) }
 
 // fleetConfigs expands the combo into the fleet and workload configurations
 // it denotes.
@@ -194,30 +84,39 @@ func (cb FleetCombo) fleetConfigs(clk clock.Clock) (fleet.Config, loadgen.Config
 	return fcfg, lcfg
 }
 
-// RunFleetCombo plays the combo's workload on a fresh virtual clock and
-// checks the fleet invariants the sweep exists to enforce: every request
-// completes exactly once against the model (loadgen.Run verifies this), a
-// kill causes promotions but blasts less than the dead node's seat share, and
-// a stale-epoch frame probed at a reseated shard is dropped unlogged.
-func RunFleetCombo(cb FleetCombo) *FleetComboOutcome {
-	out := &FleetComboOutcome{Combo: cb}
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(2 * time.Minute)()
-	fcfg, lcfg := cb.fleetConfigs(clk)
-	f, err := fleet.New(fcfg)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	clk.Attach()
-	defer clk.Detach()
-	st, _, err := loadgen.Run(f, clk, lcfg)
-	out.Stats = st
-	if err != nil {
-		out.Err = err
-		return out
-	}
+// run plays the combo's workload on a fresh virtual clock and checks the
+// fleet invariants the sweep exists to enforce: every request completes
+// exactly once against the model (loadgen.Run verifies this), a kill causes
+// promotions but blasts less than the dead node's seat share, and a
+// stale-epoch frame probed at a reseated shard is dropped unlogged.
+func (cb FleetCombo) run(programCache) *Outcome {
+	out := &Outcome{Key: cb.Key(), failTag: "FAIL"}
+	simulate(2*time.Minute, func(clk *clock.Virtual) {
+		fcfg, lcfg := cb.fleetConfigs(clk)
+		f, err := fleet.New(fcfg)
+		if err != nil {
+			out.Err = err
+			return
+		}
+		st, _, err := loadgen.Run(f, clk, lcfg)
+		if err != nil {
+			out.Err = err
+			return
+		}
+		out.Detail = strings.Join(cb.check(f, st), "; ")
+		out.Fields = fmt.Sprintf("oks=%d req=%d retries=%d silent=%d unavail=%d notowner=%d exec=%d dup=%d resent=%d promos=%d transfers=%d stale=%d blast=%d/%d p50=%s p99=%s vtime=%s sum=%016x",
+			st.OKs, st.Requests, st.Retries, st.Silent, st.Unavailable, st.NotOwner,
+			st.Fleet.Executed, st.Fleet.DupHits, st.Fleet.Resent,
+			st.Fleet.Promotions, st.Fleet.Transfers, st.Fleet.StaleFrames,
+			st.TenantsBlasted, st.TenantsActive, st.P50, st.P99, st.Elapsed, st.Checksum)
+	})
+	return out
+}
 
+// check returns the broken invariants of a finished run. The stale-epoch
+// probe, when scheduled, runs here and refreshes st.Fleet so the trace
+// reflects it.
+func (cb FleetCombo) check(f *fleet.Fleet, st *loadgen.Stats) []string {
 	var fail []string
 	if want := uint64(cb.Clients * cb.Ops); st.OKs != want {
 		fail = append(fail, fmt.Sprintf("oks=%d want=%d", st.OKs, want))
@@ -270,8 +169,7 @@ func RunFleetCombo(cb FleetCombo) *FleetComboOutcome {
 		}
 		st.Fleet = f.Counters() // trace reflects the probe
 	}
-	out.Detail = strings.Join(fail, "; ")
-	return out
+	return fail
 }
 
 // FleetSweepConfig enumerates the fleet schedule space: for every seed, one
@@ -296,7 +194,8 @@ type FleetSweepConfig struct {
 	FaultEvery uint64
 }
 
-func (c *FleetSweepConfig) fill() {
+// Combos expands the configuration into the full deterministic schedule list.
+func (c FleetSweepConfig) Combos() []Scenario {
 	if c.Nodes == 0 {
 		c.Nodes = 4
 	}
@@ -318,12 +217,7 @@ func (c *FleetSweepConfig) fill() {
 	if c.FaultEvery == 0 {
 		c.FaultEvery = 13
 	}
-}
-
-// Combos expands the configuration into the full deterministic schedule list.
-func (c *FleetSweepConfig) Combos() []FleetCombo {
-	c.fill()
-	var out []FleetCombo
+	var out []Scenario
 	for _, seed := range c.Seeds {
 		base := FleetCombo{
 			Seed: seed, Nodes: c.Nodes, Shards: c.Shards,
@@ -351,34 +245,4 @@ func (c *FleetSweepConfig) Combos() []FleetCombo {
 		}
 	}
 	return out
-}
-
-// FleetSweepResult is the outcome of a full fleet sweep.
-type FleetSweepResult struct {
-	Combos   int
-	Failures []*FleetComboOutcome
-	Trace    []string
-	Elapsed  time.Duration // wall time (reporting only; never in the trace)
-}
-
-// RunFleetSweep plays every combo in order, emitting one trace line per combo
-// via logf (nil = collect only). The trace is a pure function of the
-// configuration.
-func RunFleetSweep(cfg FleetSweepConfig, logf func(string)) *FleetSweepResult {
-	combos := cfg.Combos()
-	res := &FleetSweepResult{Combos: len(combos)}
-	t0 := clock.Real.Now()
-	for _, cb := range combos {
-		out := RunFleetCombo(cb)
-		line := out.TraceLine()
-		res.Trace = append(res.Trace, line)
-		if logf != nil {
-			logf(line)
-		}
-		if out.Failed() {
-			res.Failures = append(res.Failures, out)
-		}
-	}
-	res.Elapsed = clock.Real.Since(t0)
-	return res
 }

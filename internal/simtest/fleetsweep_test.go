@@ -9,24 +9,21 @@ func TestFleetComboKeyRoundTrip(t *testing.T) {
 	cfg := FleetSweepConfig{Seeds: []uint64{3, 9}}
 	for _, cb := range cfg.Combos() {
 		key := cb.Key()
-		got, err := ParseFleetCombo(key)
+		got, err := Parse(key)
 		if err != nil {
 			t.Fatalf("parse %q: %v", key, err)
 		}
 		if got != cb {
 			t.Fatalf("round trip %q:\n got %+v\nwant %+v", key, got, cb)
 		}
-		if !IsFleetKey(key) {
-			t.Fatalf("IsFleetKey(%q) = false", key)
-		}
-		if IsViewKey(key) {
-			t.Fatalf("fleet key %q also matches IsViewKey", key)
+		if k, err := ClassifyReplayKey(key); err != nil || k != ReplayFleet {
+			t.Fatalf("ClassifyReplayKey(%q) = %v, %v; want fleet", key, k, err)
 		}
 	}
 	// A view key must not be mistaken for a fleet key.
 	viewKey := "prog=7,size=small,mode=sched,kill1=3,d1=0,kill2=5,d2=1,fault=none@0,inject=1,net=3,reorder=1/8"
-	if IsFleetKey(viewKey) {
-		t.Fatalf("view key %q matches IsFleetKey", viewKey)
+	if k, err := ClassifyReplayKey(viewKey); err != nil || k != ReplayView {
+		t.Fatalf("ClassifyReplayKey(%q) = %v, %v; want view", viewKey, k, err)
 	}
 }
 
@@ -38,18 +35,19 @@ func TestParseFleetComboRejectsGarbage(t *testing.T) {
 		"clients=10,fault=ackdrop", // fault missing /every
 		"clients=10,zebra=1",       // unknown field
 	} {
-		if _, err := ParseFleetCombo(bad); err == nil {
-			t.Fatalf("ParseFleetCombo(%q) accepted garbage", bad)
+		if _, err := Parse(bad); err == nil {
+			t.Fatalf("Parse(%q) accepted garbage", bad)
 		}
 	}
 }
 
 // TestFleetSweepDeterministic: the same configuration swept twice produces a
 // byte-identical trace — the property that makes any failing line a complete
-// repro — and the default schedule passes every invariant.
+// repro, pinned by hash across commits — and the default schedule passes
+// every invariant.
 func TestFleetSweepDeterministic(t *testing.T) {
 	cfg := FleetSweepConfig{Seeds: []uint64{1}, Clients: 400, Ops: 2}
-	a := RunFleetSweep(cfg, nil)
+	a := Sweep(cfg.Combos(), nil)
 	if len(a.Failures) != 0 {
 		var lines []string
 		for _, f := range a.Failures {
@@ -57,7 +55,7 @@ func TestFleetSweepDeterministic(t *testing.T) {
 		}
 		t.Fatalf("%d/%d combos failed:\n%s", len(a.Failures), a.Combos, strings.Join(lines, "\n"))
 	}
-	b := RunFleetSweep(FleetSweepConfig{Seeds: []uint64{1}, Clients: 400, Ops: 2}, nil)
+	b := Sweep(cfg.Combos(), nil)
 	if strings.Join(a.Trace, "\n") != strings.Join(b.Trace, "\n") {
 		for i := range a.Trace {
 			if i < len(b.Trace) && a.Trace[i] != b.Trace[i] {
@@ -66,8 +64,9 @@ func TestFleetSweepDeterministic(t *testing.T) {
 		}
 		t.Fatal("sweep trace is not deterministic")
 	}
+	pinTrace(t, a.Trace, "7a6f138028d81867d86959e3f13cfb1926241da60a2c360162b96fee012b2da1")
 	// Different seeds must visibly change the trace (checksums differ).
-	c := RunFleetSweep(FleetSweepConfig{Seeds: []uint64{2}, Clients: 400, Ops: 2}, nil)
+	c := Sweep(FleetSweepConfig{Seeds: []uint64{2}, Clients: 400, Ops: 2}.Combos(), nil)
 	if a.Trace[0][strings.Index(a.Trace[0], "sum="):] == c.Trace[0][strings.Index(c.Trace[0], "sum="):] {
 		t.Fatal("different seeds produced identical clean-run checksums")
 	}
@@ -122,33 +121,19 @@ var fleetReplaySeeds = []struct {
 // TestFleetReplaySeeds replays the fleet regression table. A failure here
 // means a fleet failure class fixed in this PR has reopened; the table line
 // is the repro.
-func TestFleetReplaySeeds(t *testing.T) {
-	for _, rs := range fleetReplaySeeds {
-		t.Run(rs.class, func(t *testing.T) {
-			cb, err := ParseFleetCombo(rs.key)
-			if err != nil {
-				t.Fatalf("table entry %q: %v", rs.key, err)
-			}
-			out := RunFleetCombo(cb)
-			if out.Failed() {
-				t.Fatalf("regression in %q:\n%s\nreplay: %s", rs.class, out.TraceLine(), out.ReplayCommand())
-			}
-			t.Logf("%s", out.TraceLine())
-		})
-	}
-}
+func TestFleetReplaySeeds(t *testing.T) { replayTable(t, fleetReplaySeeds) }
 
 // TestFleetComboTraceStable pins one combo's full trace line, so an
 // unintentional change to the deterministic execution (RNG derivation, cost
 // model, histogram) shows up as a diff here rather than silently changing
 // every committed benchmark.
 func TestFleetComboTraceStable(t *testing.T) {
-	cb, err := ParseFleetCombo("seed=1,nodes=4,shards=8,clients=400,ops=2,ka=0@0,kb=0@0,fault=none/0,inject=0")
+	sc, err := Parse("seed=1,nodes=4,shards=8,clients=400,ops=2,ka=0@0,kb=0@0,fault=none/0,inject=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := RunFleetCombo(cb).TraceLine()
-	b := RunFleetCombo(cb).TraceLine()
+	a := Run(sc).TraceLine()
+	b := Run(sc).TraceLine()
 	if a != b {
 		t.Fatalf("trace line not reproducible:\n%s\n%s", a, b)
 	}

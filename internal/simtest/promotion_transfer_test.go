@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"errors"
 	"testing"
 
 	ftvm "repro"
@@ -17,7 +18,7 @@ import (
 // schedules; this sweeps the whole position space for a fixed workload.
 func TestPromotionTransferSurvivesKillAtEveryTailPosition(t *testing.T) {
 	const progSeed = 5
-	prog, ref, err := comboProgram(Combo{ProgSeed: progSeed, Size: fuzzgen.SizeSmall})
+	prog, ref, err := comboProgram(progSeed, fuzzgen.SizeSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +39,17 @@ func TestPromotionTransferSurvivesKillAtEveryTailPosition(t *testing.T) {
 					Kill2AtSend: k2, Kill2Deliver: deliver,
 					NetSeed: 1, ReorderNum: 1, ReorderDen: 8,
 				}
-				out := RunViewCombo(cb, prog, ref)
-				if out.Failed() {
-					t.Errorf("tail position %d (deliver=%t, mode=%s):\n%s\nreplay: %s",
-						k2, deliver, mode, out.TraceLine(), out.ReplayCommand())
+				r, err := RunViewCluster(cb.viewClusterConfig(prog))
+				if err == nil {
+					if detail, ok := fuzzgen.CompareFrames(ref, r.Console); !ok {
+						err = errors.New(detail)
+					}
+				}
+				if err != nil {
+					t.Errorf("tail position %d (deliver=%t, mode=%s): %v\nreplay key: %s",
+						k2, deliver, mode, err, cb.Key())
 					continue
 				}
-				r := out.Result
 				switch {
 				case !r.Killed2:
 					missed++ // position past the schedule's last send

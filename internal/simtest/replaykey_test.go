@@ -3,12 +3,14 @@ package simtest
 import (
 	"strings"
 	"testing"
+
+	ftvm "repro"
 )
 
-// TestClassifyHistoricalReplayKeys runs the classifier over every key in all
-// four regression seed tables: each must classify cleanly as its own kind
-// and parse with the matching parser — the classifier can never strand a
-// historical replay string.
+// TestClassifyHistoricalReplayKeys runs the codec over every key in all four
+// regression seed tables: each must classify cleanly as its own kind and
+// parse to a combo that renders the identical key — the codec can never
+// strand or reinterpret a historical replay string.
 func TestClassifyHistoricalReplayKeys(t *testing.T) {
 	check := func(t *testing.T, key string, want ReplayKind) {
 		t.Helper()
@@ -19,23 +21,12 @@ func TestClassifyHistoricalReplayKeys(t *testing.T) {
 		if got != want {
 			t.Fatalf("ClassifyReplayKey(%q) = %v, want %v", key, got, want)
 		}
-		switch want {
-		case ReplayPair:
-			if _, err := ParseCombo(key); err != nil {
-				t.Fatalf("ParseCombo(%q): %v", key, err)
-			}
-		case ReplayView:
-			if _, err := ParseViewCombo(key); err != nil {
-				t.Fatalf("ParseViewCombo(%q): %v", key, err)
-			}
-		case ReplayFleet:
-			if _, err := ParseFleetCombo(key); err != nil {
-				t.Fatalf("ParseFleetCombo(%q): %v", key, err)
-			}
-		case ReplayConsensus:
-			if _, err := ParseConsensusCombo(key); err != nil {
-				t.Fatalf("ParseConsensusCombo(%q): %v", key, err)
-			}
+		sc, err := Parse(key)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", key, err)
+		}
+		if sc.Key() != key {
+			t.Fatalf("Parse(%q) renders back as %q", key, sc.Key())
 		}
 	}
 	for _, rs := range replaySeeds {
@@ -54,13 +45,14 @@ func TestClassifyHistoricalReplayKeys(t *testing.T) {
 
 // TestClassifyRoundTripsComboKeys classifies freshly-rendered Key() strings.
 func TestClassifyRoundTripsComboKeys(t *testing.T) {
+	lock := ftvm.ModeLock // a zero Mode renders as "invalid", which Parse rejects
 	keys := map[string]ReplayKind{
-		Combo{ProgSeed: 7, NetSeed: 3, ReorderDen: 8}.Key():                      ReplayPair,
-		ViewCombo{ProgSeed: 7, NetSeed: 3, ReorderDen: 8}.Key():                  ReplayView,
-		FleetCombo{Seed: 7, Nodes: 4, Shards: 8, Clients: 100, Ops: 3}.Key():     ReplayFleet,
-		ConsensusCombo{ProgSeed: 7, NetSeed: 3, ReorderDen: 8, ESeed: 1}.Key():   ReplayConsensus,
-		ConsensusCombo{ProgSeed: 7, KillLeader: true, ReorderDen: 8}.Key():       ReplayConsensus,
-		Combo{ProgSeed: 9, Dispatch: 1, NetSeed: 1, ReorderNum: 1, ReorderDen: 8}.Key(): ReplayPair,
+		Combo{ProgSeed: 7, Mode: lock, NetSeed: 3, ReorderDen: 8}.Key():                             ReplayPair,
+		ViewCombo{ProgSeed: 7, Mode: lock, NetSeed: 3, ReorderDen: 8}.Key():                         ReplayView,
+		FleetCombo{Seed: 7, Nodes: 4, Shards: 8, Clients: 100, Ops: 3}.Key():                        ReplayFleet,
+		ConsensusCombo{ProgSeed: 7, Mode: lock, NetSeed: 3, ReorderDen: 8, ESeed: 1}.Key():          ReplayConsensus,
+		ConsensusCombo{ProgSeed: 7, Mode: lock, KillLeader: true, ReorderDen: 8}.Key():              ReplayConsensus,
+		Combo{ProgSeed: 9, Mode: lock, Dispatch: 1, NetSeed: 1, ReorderNum: 1, ReorderDen: 8}.Key(): ReplayPair,
 	}
 	for key, want := range keys {
 		got, err := ClassifyReplayKey(key)
@@ -74,9 +66,11 @@ func TestClassifyRoundTripsComboKeys(t *testing.T) {
 	}
 }
 
-// TestClassifyRejects covers the failure modes the substring sniffing let
-// through: unknown fields, fields from the wrong kind, ambiguous keys,
-// malformed parts, and discriminator names hiding inside values.
+// TestClassifyRejects covers the failure modes the substring sniffing and
+// the lenient per-kind parsers let through: unknown fields, fields from the
+// wrong kind, ambiguous keys, malformed parts, discriminator names hiding
+// inside values, booleans that are not 0/1/true/false, repeated fields and
+// missing fields.
 func TestClassifyRejects(t *testing.T) {
 	cases := []struct {
 		name, key, wantErr string
@@ -90,6 +84,19 @@ func TestClassifyRejects(t *testing.T) {
 		{"ambiguous view+fleet", "kill1=4,clients=10", "ambiguous"},
 		{"ambiguous view+consensus", "prog=1,kill1=4,who=leader", "ambiguous"},
 		{"inject on pair", "prog=1,size=small,mode=lock,inject=1", `"inject" is not a pair-combo field`},
+		{"pair bool not 0/1", "prog=1,size=small,mode=lock,kill=5,deliver=yes,fault=none@0,net=1,reorder=1/8",
+			`pair-combo field "deliver": "yes" is not 0, 1, true or false`},
+		{"view bool not 0/1", "prog=3,size=small,mode=lock,kill1=4,d1=2,kill2=0,d2=0,fault=none@0,inject=1,net=5,reorder=1/8",
+			`view-combo field "d1": "2"`},
+		{"view inject not 0/1", "prog=3,size=small,mode=lock,kill1=4,d1=0,kill2=0,d2=0,fault=none@0,inject=maybe,net=5,reorder=1/8",
+			`view-combo field "inject": "maybe"`},
+		{"fleet inject not 0/1", "seed=7,nodes=4,shards=8,clients=800,ops=3,ka=2@200,kb=0@0,fault=none/0,inject=2",
+			`fleet-combo field "inject": "2"`},
+		{"repeated field", "prog=1,prog=2,size=small,mode=lock,kill=5,deliver=1,fault=none@0,net=1,reorder=1/8",
+			`field "prog" is repeated`},
+		{"missing field", "prog=1", `pair replay key lacks field "size"`},
+		{"missing consensus field", "prog=1,size=small,mode=lock,who=leader,kill=5,deliver=1,part=0+0,inject=0,fault=none@0,net=1,reorder=1/8",
+			`consensus replay key lacks field "eseed"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,8 +116,5 @@ func TestClassifyRejects(t *testing.T) {
 	got, err := ClassifyReplayKey(key)
 	if err != nil || got != ReplayFleet {
 		t.Fatalf("ClassifyReplayKey(value containing kill1) = %v, %v; want fleet", got, err)
-	}
-	if IsViewKey(key) {
-		t.Fatal("IsViewKey matched a fleet key whose fault value contains 'kill1'")
 	}
 }

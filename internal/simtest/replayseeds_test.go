@@ -104,14 +104,17 @@ var replaySeeds = []struct {
 
 // TestReplaySeeds replays the regression table. A failure here means a
 // previously-fixed failure class has reopened; the table line is the repro.
-func TestReplaySeeds(t *testing.T) {
-	for _, rs := range replaySeeds {
+func TestReplaySeeds(t *testing.T) { replayTable(t, replaySeeds) }
+
+// replayTable replays a regression table of any kind, one subtest per class.
+func replayTable(t *testing.T, table []struct{ class, key string }) {
+	for _, rs := range table {
 		t.Run(rs.class, func(t *testing.T) {
-			cb, err := ParseCombo(rs.key)
+			sc, err := Parse(rs.key)
 			if err != nil {
 				t.Fatalf("table entry %q: %v", rs.key, err)
 			}
-			out := RunCombo(cb, nil, nil)
+			out := Run(sc)
 			if out.Failed() {
 				t.Fatalf("regression in %q:\n%s\nreplay: %s", rs.class, out.TraceLine(), out.ReplayCommand())
 			}

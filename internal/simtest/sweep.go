@@ -1,25 +1,17 @@
 package simtest
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-	"time"
-
 	ftvm "repro"
 	"repro/internal/fuzzgen"
-	frand "repro/internal/fuzzgen/rand"
-	"repro/internal/simtest/clock"
 	"repro/internal/simtest/simnet"
 	"repro/internal/transport"
 )
 
-// Combo is one point of the sweep: a generated program, a replication mode,
-// and a fault schedule (a kill position, a channel fault, a network seed, and
-// a reorder chance). Its Key() round-trips through ParseCombo, so any failing
-// combo replays from a single string:
+// Combo is one point of the pair sweep: a generated program, a replication
+// mode, and a fault schedule (a kill position, a channel fault, a network
+// seed, and a reorder chance). Its key looks like
 //
-//	go run ./cmd/ftvm-sim -replay "prog=7,size=small,mode=sched,kill=12,deliver=1,fault=none@0,net=3,reorder=1/8"
+//	prog=7,size=small,mode=sched,kill=12,deliver=1,fault=none@0,net=3,reorder=1/8
 type Combo struct {
 	ProgSeed    uint64
 	Size        fuzzgen.Size
@@ -41,113 +33,29 @@ type Combo struct {
 	Capture string
 }
 
-// Key renders the combo as its canonical replay string.
-func (cb Combo) Key() string {
-	deliver := 0
-	if cb.KillDeliver {
-		deliver = 1
-	}
-	key := fmt.Sprintf("prog=%d,size=%s,mode=%s,kill=%d,deliver=%d,fault=%s@%d,net=%d,reorder=%d/%d",
-		cb.ProgSeed, cb.Size, cb.Mode, cb.KillAtSend, deliver,
-		cb.FaultKind, cb.FaultAt, cb.NetSeed, cb.ReorderNum, cb.ReorderDen)
-	if cb.Dispatch != ftvm.DispatchThreaded {
-		// Appended only when non-default, so every historical replay string
+func (cb *Combo) fields() []field {
+	return []field{
+		{name: "prog", val: uintVal(&cb.ProgSeed)},
+		{name: "size", val: sizeVal(&cb.Size)},
+		{name: "mode", val: modeVal(&cb.Mode)},
+		{name: "kill", val: intVal(&cb.KillAtSend)},
+		{name: "deliver", val: boolVal(&cb.KillDeliver)},
+		{name: "fault", val: faultVal(&cb.FaultKind, &cb.FaultAt)},
+		{name: "net", val: int64Val(&cb.NetSeed)},
+		{name: "reorder", val: reorderVal(&cb.ReorderNum, &cb.ReorderDen)},
+		// Rendered only when non-default, so every historical replay string
 		// renders (and replays) unchanged.
-		key += ",dispatch=" + cb.Dispatch.String()
-	}
-	return key
-}
-
-// faultKindByName inverts transport.FaultKind.String.
-func faultKindByName(name string) (transport.FaultKind, error) {
-	for k := transport.FaultNone; ; k++ {
-		s := k.String()
-		if s == "invalid" {
-			return 0, fmt.Errorf("unknown fault kind %q", name)
-		}
-		if s == name {
-			return k, nil
-		}
+		{name: "dispatch", val: dispatchVal(&cb.Dispatch), omit: ftvm.DispatchThreaded.String()},
 	}
 }
 
-// modeByName inverts replication.Mode.String.
-func modeByName(name string) (ftvm.Mode, error) {
-	for _, m := range []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched, ftvm.ModeLockInterval} {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mode %q (lock, sched, lockint)", name)
-}
-
-// ParseCombo parses a Key()-formatted replay string.
-func ParseCombo(key string) (Combo, error) {
-	var cb Combo
-	for _, field := range strings.Split(key, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return cb, fmt.Errorf("combo field %q is not key=value", field)
-		}
-		var err error
-		switch k {
-		case "prog":
-			cb.ProgSeed, err = strconv.ParseUint(v, 0, 64)
-		case "size":
-			cb.Size, err = fuzzgen.SizeByName(v)
-		case "mode":
-			cb.Mode, err = modeByName(v)
-		case "kill":
-			cb.KillAtSend, err = strconv.Atoi(v)
-		case "deliver":
-			cb.KillDeliver = v == "1" || v == "true"
-		case "fault":
-			kind, at, ok := strings.Cut(v, "@")
-			if !ok {
-				return cb, fmt.Errorf("fault %q is not kind@index", v)
-			}
-			if cb.FaultKind, err = faultKindByName(kind); err == nil {
-				cb.FaultAt, err = strconv.Atoi(at)
-			}
-		case "net":
-			cb.NetSeed, err = strconv.ParseInt(v, 0, 64)
-		case "dispatch":
-			cb.Dispatch, err = ftvm.ParseDispatch(v)
-		case "reorder":
-			num, den, ok := strings.Cut(v, "/")
-			if !ok {
-				return cb, fmt.Errorf("reorder %q is not num/den", v)
-			}
-			if cb.ReorderNum, err = strconv.Atoi(num); err == nil {
-				cb.ReorderDen, err = strconv.Atoi(den)
-			}
-		default:
-			return cb, fmt.Errorf("unknown combo field %q", k)
-		}
-		if err != nil {
-			return cb, fmt.Errorf("combo field %q: %w", field, err)
-		}
-	}
-	return cb, nil
-}
-
-// deriveSeeds expands a program seed into the run's environment, primary
-// policy, and recovery policy seeds (split from the program seed so shrunken
-// or hand-picked programs keep their schedules, mirroring fuzzgen.derive).
-func deriveSeeds(progSeed uint64) (envSeed, polRef, polRec int64) {
-	drv := frand.New(progSeed ^ 0x51731EED)
-	return int64(drv.Next()>>2) | 1, int64(drv.Next()>>2) | 1, int64(drv.Next()>>2) | 1
-}
+// Key renders the combo as its canonical replay string.
+func (cb Combo) Key() string { return encodeKey(cb.fields()) }
 
 // clusterConfig expands the combo into the cluster configuration it denotes.
 func (cb Combo) clusterConfig(prog *ftvm.Program) ClusterConfig {
-	envSeed, polRef, polRec := deriveSeeds(cb.ProgSeed)
 	return ClusterConfig{
-		Program:     prog,
-		Mode:        cb.Mode,
-		EnvSeed:     envSeed,
-		PolicySeed:  polRef,
-		RecoverSeed: polRec,
+		RunConfig: runConfig(prog, cb.Mode, cb.ProgSeed),
 		Net: simnet.Config{
 			Seed:       cb.NetSeed,
 			ReorderNum: cb.ReorderNum,
@@ -162,126 +70,38 @@ func (cb Combo) clusterConfig(prog *ftvm.Program) ClusterConfig {
 	}
 }
 
-func (cb Combo) envSeed() int64     { e, _, _ := deriveSeeds(cb.ProgSeed); return e }
-func (cb Combo) recoverSeed() int64 { _, _, r := deriveSeeds(cb.ProgSeed); return r }
-
-// ComboOutcome is one combo's deterministic result plus the comparison
-// verdict against the failure-free reference.
-type ComboOutcome struct {
-	Combo   Combo
-	Result  *ClusterResult
-	Detail  string // "" when the output matched the reference
-	Err     error  // harness/contract error (already a failure)
-	Ref     []string
-	Console []string
-}
-
-// Failed reports whether the combo diverged or errored.
-func (o *ComboOutcome) Failed() bool { return o.Err != nil || o.Detail != "" }
-
-// TraceLine renders the combo's structural outcome. Lines contain only
-// deterministic fields (virtual time, never wall time), so a whole sweep's
-// trace is byte-identical across runs of the same configuration.
-func (o *ComboOutcome) TraceLine() string {
-	var sb strings.Builder
-	sb.WriteString(o.Combo.Key())
-	sb.WriteString(" -> ")
-	if o.Err != nil {
-		fmt.Fprintf(&sb, "ERROR %v", o.Err)
-		return sb.String()
-	}
-	r := o.Result
-	fmt.Fprintf(&sb, "outcome=%q killed=%t recovered=%t records=%d vtime=%s console=%d",
-		r.Outcome, r.Killed, r.Recovered, r.RecordsLogged, r.VirtualElapsed, len(r.Console))
-	if o.Detail != "" {
-		fmt.Fprintf(&sb, " DIVERGE %s", o.Detail)
-	} else {
-		sb.WriteString(" ok")
-	}
-	return sb.String()
-}
-
-// ReplayCommand renders the shell command that reproduces this combo alone.
-func (o *ComboOutcome) ReplayCommand() string {
-	return fmt.Sprintf("go run ./cmd/ftvm-sim -replay %q", o.Combo.Key())
-}
-
-// RunCombo compiles the combo's generated program, computes the failure-free
-// reference output, plays the schedule on the simulated cluster, and compares
-// per-writer output streams. prog/ref may be nil (computed on demand); the
-// sweep passes cached values so each program compiles once.
-func RunCombo(cb Combo, prog *ftvm.Program, ref []string) *ComboOutcome {
-	out := &ComboOutcome{Combo: cb}
-	if prog == nil {
-		var err error
-		prog, ref, err = comboProgram(cb)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-	}
-	out.Ref = ref
-
-	res, err := RunCluster(cb.clusterConfig(prog))
-	out.Result = res
-	if err != nil {
-		out.Err = err
+// run plays the schedule on the simulated pair and compares per-writer
+// output streams with the failure-free reference.
+func (cb Combo) run(progs programCache) *Outcome {
+	out, prog := startVM(cb.Key(), progs, cb.ProgSeed, cb.Size)
+	if out.Err != nil {
 		return out
 	}
-	out.Console = res.Console
-	if detail, ok := fuzzgen.CompareFrames(ref, res.Console); !ok {
-		out.Detail = detail
+	r, err := RunCluster(cb.clusterConfig(prog))
+	if out.Err = err; err != nil {
+		return out
 	}
+	out.compare(r.Console, "outcome=%q killed=%t recovered=%t records=%d vtime=%s console=%d",
+		r.Outcome, r.Killed, r.Recovered, r.RecordsLogged, r.VirtualElapsed, len(r.Console))
 	return out
 }
 
-// comboProgram generates, compiles and reference-runs the combo's program.
-func comboProgram(cb Combo) (*ftvm.Program, []string, error) {
-	envSeed, polRef, _ := deriveSeeds(cb.ProgSeed)
-	src := fuzzgen.Generate(cb.ProgSeed, cb.Size).Render()
-	prog, err := ftvm.CompileSource(fmt.Sprintf("sim-%d", cb.ProgSeed), src)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compile seed %d: %w", cb.ProgSeed, err)
-	}
-	refRes, err := ftvm.Run(prog, ftvm.Options{
-		EnvSeed: envSeed, PolicySeed: polRef,
-		MinQuantum: 64, MaxQuantum: 512,
-		MaxInstructions: 50_000_000,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("reference run seed %d: %w", cb.ProgSeed, err)
-	}
-	return prog, refRes.Console, nil
-}
-
-// SweepConfig enumerates the schedule space: for every program seed ×
+// SweepConfig enumerates the pair schedule space: for every program seed ×
 // replication mode × network seed, one clean run, one crash per kill
 // position (alternating whether the final frame escapes), and one run per
 // channel fault.
 type SweepConfig struct {
-	// ProgSeeds are the generated-program seeds (required).
-	ProgSeeds []uint64
-	// Size is the generated-program size tier (default SizeSmall).
-	Size fuzzgen.Size
-	// Modes defaults to all three replica-coordination modes.
-	Modes []ftvm.Mode
+	VMSpace
 	// KillSends are the crash positions in primary frame sends
 	// (default 1, 3, 8, 20).
 	KillSends []int
 	// Faults are the channel-fault plans (default drop/dup/partition-send
 	// early and mid-run). A FaultNone entry is a clean run and is implied.
 	Faults []transport.FaultPlan
-	// NetSeeds vary message latency/reordering draws (default {1}).
-	NetSeeds []int64
-	// ReorderNum/ReorderDen give every link its reorder chance
-	// (default 1/8).
-	ReorderNum, ReorderDen int
 }
 
-func (c *SweepConfig) fill() {
-	if len(c.Modes) == 0 {
-		c.Modes = []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched, ftvm.ModeLockInterval}
-	}
+// Combos expands the configuration into the full deterministic schedule list.
+func (c SweepConfig) Combos() []Scenario {
 	if len(c.KillSends) == 0 {
 		c.KillSends = []int{1, 3, 8, 20}
 	}
@@ -293,87 +113,24 @@ func (c *SweepConfig) fill() {
 			{Kind: transport.FaultPartialSend, At: 4},
 		}
 	}
-	if len(c.NetSeeds) == 0 {
-		c.NetSeeds = []int64{1}
-	}
-	if c.ReorderDen == 0 {
-		c.ReorderNum, c.ReorderDen = 1, 8
-	}
-}
-
-// Combos expands the configuration into the full deterministic schedule list.
-func (c *SweepConfig) Combos() []Combo {
-	c.fill()
-	var out []Combo
-	for _, prog := range c.ProgSeeds {
-		for _, mode := range c.Modes {
-			for _, net := range c.NetSeeds {
-				base := Combo{
-					ProgSeed: prog, Size: c.Size, Mode: mode, NetSeed: net,
-					ReorderNum: c.ReorderNum, ReorderDen: c.ReorderDen,
-				}
-				out = append(out, base) // clean run
-				for i, kill := range c.KillSends {
-					cb := base
-					cb.KillAtSend = kill
-					cb.KillDeliver = i%2 == 1
-					out = append(out, cb)
-				}
-				for _, f := range c.Faults {
-					cb := base
-					cb.FaultKind, cb.FaultAt = f.Kind, f.At
-					out = append(out, cb)
-				}
-			}
+	var out []Scenario
+	c.each(func(prog uint64, mode ftvm.Mode, net int64) {
+		base := Combo{
+			ProgSeed: prog, Size: c.Size, Mode: mode, NetSeed: net,
+			ReorderNum: c.ReorderNum, ReorderDen: c.ReorderDen,
 		}
-	}
+		out = append(out, base) // clean run
+		for i, kill := range c.KillSends {
+			cb := base
+			cb.KillAtSend = kill
+			cb.KillDeliver = i%2 == 1
+			out = append(out, cb)
+		}
+		for _, f := range c.Faults {
+			cb := base
+			cb.FaultKind, cb.FaultAt = f.Kind, f.At
+			out = append(out, cb)
+		}
+	})
 	return out
-}
-
-// SweepResult is the outcome of a full sweep.
-type SweepResult struct {
-	Combos   int
-	Failures []*ComboOutcome
-	Trace    []string
-	Elapsed  time.Duration // wall time (reporting only; never in the trace)
-}
-
-// RunSweep plays every combo in order, emitting one trace line per combo via
-// logf (nil = collect only). The trace is a pure function of the
-// configuration: running the same sweep twice yields byte-identical traces.
-func RunSweep(cfg SweepConfig, logf func(string)) *SweepResult {
-	combos := cfg.Combos()
-	res := &SweepResult{Combos: len(combos)}
-	t0 := clock.Real.Now()
-
-	type cached struct {
-		prog *ftvm.Program
-		ref  []string
-		err  error
-	}
-	progs := map[uint64]*cached{}
-	for _, cb := range combos {
-		ca := progs[cb.ProgSeed]
-		if ca == nil {
-			ca = &cached{}
-			ca.prog, ca.ref, ca.err = comboProgram(cb)
-			progs[cb.ProgSeed] = ca
-		}
-		var out *ComboOutcome
-		if ca.err != nil {
-			out = &ComboOutcome{Combo: cb, Err: ca.err}
-		} else {
-			out = RunCombo(cb, ca.prog, ca.ref)
-		}
-		line := out.TraceLine()
-		res.Trace = append(res.Trace, line)
-		if logf != nil {
-			logf(line)
-		}
-		if out.Failed() {
-			res.Failures = append(res.Failures, out)
-		}
-	}
-	res.Elapsed = clock.Real.Since(t0)
-	return res
 }

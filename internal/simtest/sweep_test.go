@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,31 +11,44 @@ import (
 	"repro/internal/fuzzgen"
 )
 
+// pinTrace checks the SHA-256 of a sweep's joined trace against the hash
+// recorded when the pin was set, so a trace change across commits fails
+// here even when each commit is deterministic on its own.
+func pinTrace(t *testing.T, trace []string, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(trace, "\n")))); got != want {
+		t.Fatalf("trace of %d lines hashes to %s, pinned %s:\n%s", len(trace), got, want, strings.Join(trace, "\n"))
+	}
+}
+
 // TestSweepTraceDeterminism is the harness's core promise: the same sweep
 // configuration produces a byte-identical trace on every run — outcomes,
 // record counts, and simulated timestamps included. Any wall-clock leak into
 // the schedule (a real timer racing a virtual one, an unseeded draw) shows up
-// here as a diff.
+// here as a diff, and the pinned hash catches a change across commits.
 func TestSweepTraceDeterminism(t *testing.T) {
 	cfg := SweepConfig{
-		ProgSeeds: []uint64{1, 2},
-		Size:      fuzzgen.SizeSmall,
-		Modes:     []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched},
+		VMSpace: VMSpace{
+			ProgSeeds: []uint64{1, 2},
+			Size:      fuzzgen.SizeSmall,
+			Modes:     []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched},
+			NetSeeds:  []int64{3},
+		},
 		KillSends: []int{1, 4},
-		NetSeeds:  []int64{3},
 	}
-	first := RunSweep(cfg, nil)
+	first := Sweep(cfg.Combos(), nil)
 	if first.Combos == 0 {
 		t.Fatal("empty sweep")
 	}
 	for _, f := range first.Failures {
 		t.Errorf("combo failed: %s\nreplay: %s", f.TraceLine(), f.ReplayCommand())
 	}
-	second := RunSweep(cfg, nil)
+	second := Sweep(cfg.Combos(), nil)
 	a, b := strings.Join(first.Trace, "\n"), strings.Join(second.Trace, "\n")
 	if a != b {
 		t.Fatalf("sweep trace not deterministic:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
+	pinTrace(t, first.Trace, "eabeedd4a35d0f0b155d51088d072991a51530c0ab6a77ebe00c81b09cca2235")
 }
 
 // TestSweepBroad runs the full default schedule space — kill points × channel
@@ -42,16 +57,16 @@ func TestSweepTraceDeterminism(t *testing.T) {
 // The whole sweep must finish far inside a minute of wall time: that budget
 // is the point of simulating, so it is asserted, not hoped for.
 func TestSweepBroad(t *testing.T) {
-	cfg := SweepConfig{
+	cfg := SweepConfig{VMSpace: VMSpace{
 		ProgSeeds: []uint64{1, 2, 3, 4},
 		Size:      fuzzgen.SizeSmall,
 		NetSeeds:  []int64{1, 2},
-	}
+	}}
 	combos := cfg.Combos()
 	if len(combos) < 200 {
 		t.Fatalf("default sweep enumerates only %d combos, want >= 200", len(combos))
 	}
-	res := RunSweep(cfg, nil)
+	res := Sweep(combos, nil)
 	for _, f := range res.Failures {
 		t.Errorf("combo failed: %s\nreplay: %s", f.TraceLine(), f.ReplayCommand())
 	}
@@ -65,11 +80,11 @@ func TestSweepBroad(t *testing.T) {
 // parses back to itself, so the single line the sweep prints on failure is
 // always sufficient to reproduce the run.
 func TestComboKeyRoundTrip(t *testing.T) {
-	cfg := SweepConfig{ProgSeeds: []uint64{7}, Size: fuzzgen.SizeMedium, NetSeeds: []int64{-4}}
+	cfg := SweepConfig{VMSpace: VMSpace{ProgSeeds: []uint64{7}, Size: fuzzgen.SizeMedium, NetSeeds: []int64{-4}}}
 	for _, cb := range cfg.Combos() {
-		parsed, err := ParseCombo(cb.Key())
+		parsed, err := Parse(cb.Key())
 		if err != nil {
-			t.Fatalf("ParseCombo(%q): %v", cb.Key(), err)
+			t.Fatalf("Parse(%q): %v", cb.Key(), err)
 		}
 		if parsed != cb {
 			t.Fatalf("round trip changed combo: %q -> %q", cb.Key(), parsed.Key())
@@ -81,26 +96,30 @@ func TestComboKeyRoundTrip(t *testing.T) {
 	if !strings.Contains(sw.Key(), "dispatch=switch") {
 		t.Fatalf("switch-engine combo key %q does not carry the dispatch field", sw.Key())
 	}
-	if parsed, err := ParseCombo(sw.Key()); err != nil || parsed != sw {
-		t.Fatalf("dispatch round trip: %q -> %q (%v)", sw.Key(), parsed.Key(), err)
+	if parsed, err := Parse(sw.Key()); err != nil || parsed != sw {
+		t.Fatalf("dispatch round trip: %q -> %v (%v)", sw.Key(), parsed, err)
 	}
-	if _, err := ParseCombo("prog=1,bogus=2"); err == nil {
+	if _, err := Parse("prog=1,bogus=2"); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := ParseCombo("mode=warp"); err == nil {
+	if _, err := Parse("mode=warp"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
 
 // TestFuzzReplayKeyParses pins the bridge from the live fuzzer: the
 // `ftvm-sim -replay` string that ftvm-fuzz prints for a failing seed must be
-// accepted by ParseCombo and name the same generated program.
+// parse as a pair combo and name the same generated program.
 func TestFuzzReplayKeyParses(t *testing.T) {
 	f := &fuzzgen.Failure{Seed: 8241, Size: fuzzgen.SizeMedium, Stage: fuzzgen.StageFailover}
 	key := fuzzgen.SimReplayKey(f)
-	cb, err := ParseCombo(key)
+	sc, err := Parse(key)
 	if err != nil {
-		t.Fatalf("ParseCombo(%q): %v", key, err)
+		t.Fatalf("Parse(%q): %v", key, err)
+	}
+	cb, ok := sc.(Combo)
+	if !ok {
+		t.Fatalf("Parse(%q) = %T, want a pair Combo", key, sc)
 	}
 	if cb.ProgSeed != f.Seed || cb.Size != f.Size {
 		t.Fatalf("combo %q lost the program identity (seed %d size %s)", key, f.Seed, f.Size)

@@ -27,7 +27,7 @@ func takeoverProgram(t *testing.T) (*ftvm.Program, []string, Combo) {
 	t.Helper()
 	cb := Combo{ProgSeed: 3, Size: fuzzgen.SizeSmall, Mode: ftvm.ModeLock,
 		NetSeed: 5, ReorderNum: 1, ReorderDen: 8}
-	prog, ref, err := comboProgram(cb)
+	prog, ref, err := comboProgram(cb.ProgSeed, cb.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,12 @@ func TestDoubleTakeover(t *testing.T) {
 	}
 	mustAgree(t, ref, res.Console, "first takeover output")
 
-	env2 := env.New(cb.envSeed())
+	envSeed, _, recoverSeed := deriveSeeds(cb.ProgSeed)
+	env2 := env.New(envSeed)
 	_, report2, err := res.backup.Recover(replication.RecoverConfig{
 		Program: prog,
 		Env:     env2,
-		Policy:  vm.NewSeededPolicy(cb.recoverSeed()^1, 100, 900),
+		Policy:  vm.NewSeededPolicy(recoverSeed^1, 100, 900),
 	})
 	if err != nil {
 		t.Fatalf("second takeover: %v", err)

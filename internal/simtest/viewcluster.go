@@ -3,7 +3,6 @@ package simtest
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,17 +32,7 @@ const (
 // recovery alone. Surviving the whole schedule with reference-identical
 // output is the n−1 sequential-failure claim of the view-change design.
 type ViewClusterConfig struct {
-	// Program is the compiled workload (required).
-	Program *ftvm.Program
-	// Mode is the replica-coordination mode (required).
-	Mode ftvm.Mode
-
-	// Seeds and quanta, as in ClusterConfig (same defaults).
-	EnvSeed, PolicySeed, RecoverSeed int64
-	MinQuantum, MaxQuantum           uint64
-	RecoverMinQ, RecoverMaxQ         uint64
-	// FlushEvery batches log records per frame (default 4).
-	FlushEvery int
+	RunConfig
 
 	// Net shapes both simulated links; the second (n2→n3) link folds a
 	// constant into the seed so the two channels draw different schedules
@@ -74,54 +63,16 @@ type ViewClusterConfig struct {
 	Heartbeat      time.Duration
 	AckTimeout     time.Duration
 	FailureTimeout time.Duration
-
-	// MaxInstructions bounds every execution (default 50M); WallLimit is the
-	// real-time watchdog on the whole simulation (default 30s).
-	MaxInstructions uint64
-	WallLimit       time.Duration
 }
 
 func (c *ViewClusterConfig) fill() error {
-	if c.Program == nil {
-		return errors.New("simtest: nil program")
-	}
-	if c.EnvSeed == 0 {
-		c.EnvSeed = 1234
-	}
-	if c.PolicySeed == 0 {
-		c.PolicySeed = 77
-	}
-	if c.RecoverSeed == 0 {
-		c.RecoverSeed = 4242
-	}
-	if c.MinQuantum == 0 {
-		c.MinQuantum = 64
-	}
-	if c.MaxQuantum < c.MinQuantum {
-		c.MaxQuantum = c.MinQuantum * 8
-	}
-	if c.RecoverMinQ == 0 {
-		c.RecoverMinQ = 100
-	}
-	if c.RecoverMaxQ < c.RecoverMinQ {
-		c.RecoverMaxQ = c.RecoverMinQ * 9
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 4
-	}
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 10 * time.Millisecond
 	}
 	if c.FailureTimeout == 0 {
 		c.FailureTimeout = 50 * time.Millisecond
 	}
-	if c.MaxInstructions == 0 {
-		c.MaxInstructions = 50_000_000
-	}
-	if c.WallLimit == 0 {
-		c.WallLimit = 30 * time.Second
-	}
-	return nil
+	return c.RunConfig.fill()
 }
 
 // ViewClusterResult reports what one three-node schedule did. Every field is
@@ -170,24 +121,11 @@ type ViewClusterResult struct {
 // RunViewCluster plays one three-node schedule to completion on a fresh
 // virtual clock. An error means the harness or the replication contract
 // broke, not merely that an injected failure fired.
-func RunViewCluster(cfg ViewClusterConfig) (*ViewClusterResult, error) {
+func RunViewCluster(cfg ViewClusterConfig) (res *ViewClusterResult, err error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(cfg.WallLimit)()
-
-	var (
-		res *ViewClusterResult
-		err error
-		wg  sync.WaitGroup
-	)
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
-		res, err = runViewCluster(clk, &cfg)
-	})
-	wg.Wait()
+	simulate(cfg.WallLimit, func(clk *clock.Virtual) { res, err = runViewCluster(clk, &cfg) })
 	return res, err
 }
 

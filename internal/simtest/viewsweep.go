@@ -1,14 +1,8 @@
 package simtest
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-	"time"
-
 	ftvm "repro"
 	"repro/internal/fuzzgen"
-	"repro/internal/simtest/clock"
 	"repro/internal/simtest/simnet"
 	"repro/internal/transport"
 )
@@ -16,10 +10,9 @@ import (
 // ViewCombo is one point of the three-node sweep: a generated program, a
 // mode, and a two-stage fault schedule — where the first primary dies, where
 // the promoted one dies, what the new pair's channel does, and whether a
-// stale-epoch straggler probes the recruit. Its Key() round-trips through
-// ParseViewCombo, so any failing combo replays from a single string:
+// stale-epoch straggler probes the recruit. Its key looks like
 //
-//	go run ./cmd/ftvm-sim -replay "prog=7,size=small,mode=sched,kill1=3,d1=0,kill2=5,d2=1,fault=none@0,inject=1,net=3,reorder=1/8"
+//	prog=7,size=small,mode=sched,kill1=3,d1=0,kill2=5,d2=1,fault=none@0,inject=1,net=3,reorder=1/8
 type ViewCombo struct {
 	ProgSeed     uint64
 	Size         fuzzgen.Size
@@ -36,94 +29,30 @@ type ViewCombo struct {
 	ReorderDen   int
 }
 
-// Key renders the combo as its canonical replay string. The "kill1=" field
-// is what distinguishes a view-cluster replay from a pair replay.
-func (cb ViewCombo) Key() string {
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
+func (cb *ViewCombo) fields() []field {
+	return []field{
+		{name: "prog", val: uintVal(&cb.ProgSeed)},
+		{name: "size", val: sizeVal(&cb.Size)},
+		{name: "mode", val: modeVal(&cb.Mode)},
+		{name: "kill1", val: intVal(&cb.Kill1AtSend)},
+		{name: "d1", val: boolVal(&cb.Kill1Deliver)},
+		{name: "kill2", val: intVal(&cb.Kill2AtSend)},
+		{name: "d2", val: boolVal(&cb.Kill2Deliver)},
+		{name: "fault", val: faultVal(&cb.FaultKind, &cb.FaultAt)},
+		{name: "inject", val: boolVal(&cb.InjectStale)},
+		{name: "net", val: int64Val(&cb.NetSeed)},
+		{name: "reorder", val: reorderVal(&cb.ReorderNum, &cb.ReorderDen)},
 	}
-	return fmt.Sprintf("prog=%d,size=%s,mode=%s,kill1=%d,d1=%d,kill2=%d,d2=%d,fault=%s@%d,inject=%d,net=%d,reorder=%d/%d",
-		cb.ProgSeed, cb.Size, cb.Mode,
-		cb.Kill1AtSend, b2i(cb.Kill1Deliver), cb.Kill2AtSend, b2i(cb.Kill2Deliver),
-		cb.FaultKind, cb.FaultAt, b2i(cb.InjectStale),
-		cb.NetSeed, cb.ReorderNum, cb.ReorderDen)
 }
 
-// IsViewKey reports whether a replay string denotes a well-formed
-// view-cluster combo (ParseViewCombo) rather than a pair combo (ParseCombo).
-func IsViewKey(key string) bool {
-	k, err := ClassifyReplayKey(key)
-	return err == nil && k == ReplayView
-}
-
-// ParseViewCombo parses a Key()-formatted replay string.
-func ParseViewCombo(key string) (ViewCombo, error) {
-	var cb ViewCombo
-	for _, field := range strings.Split(key, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return cb, fmt.Errorf("combo field %q is not key=value", field)
-		}
-		var err error
-		switch k {
-		case "prog":
-			cb.ProgSeed, err = strconv.ParseUint(v, 0, 64)
-		case "size":
-			cb.Size, err = fuzzgen.SizeByName(v)
-		case "mode":
-			cb.Mode, err = modeByName(v)
-		case "kill1":
-			cb.Kill1AtSend, err = strconv.Atoi(v)
-		case "d1":
-			cb.Kill1Deliver = v == "1" || v == "true"
-		case "kill2":
-			cb.Kill2AtSend, err = strconv.Atoi(v)
-		case "d2":
-			cb.Kill2Deliver = v == "1" || v == "true"
-		case "fault":
-			kind, at, ok := strings.Cut(v, "@")
-			if !ok {
-				return cb, fmt.Errorf("fault %q is not kind@index", v)
-			}
-			if cb.FaultKind, err = faultKindByName(kind); err == nil {
-				cb.FaultAt, err = strconv.Atoi(at)
-			}
-		case "inject":
-			cb.InjectStale = v == "1" || v == "true"
-		case "net":
-			cb.NetSeed, err = strconv.ParseInt(v, 0, 64)
-		case "reorder":
-			num, den, ok := strings.Cut(v, "/")
-			if !ok {
-				return cb, fmt.Errorf("reorder %q is not num/den", v)
-			}
-			if cb.ReorderNum, err = strconv.Atoi(num); err == nil {
-				cb.ReorderDen, err = strconv.Atoi(den)
-			}
-		default:
-			return cb, fmt.Errorf("unknown view combo field %q", k)
-		}
-		if err != nil {
-			return cb, fmt.Errorf("view combo field %q: %w", field, err)
-		}
-	}
-	return cb, nil
-}
+// Key renders the combo as its canonical replay string.
+func (cb ViewCombo) Key() string { return encodeKey(cb.fields()) }
 
 // viewClusterConfig expands the combo into the cluster configuration it
-// denotes (same seed derivation as the pair sweep, so a program keeps its
-// environment and schedules across both harnesses).
+// denotes.
 func (cb ViewCombo) viewClusterConfig(prog *ftvm.Program) ViewClusterConfig {
-	envSeed, polRef, polRec := deriveSeeds(cb.ProgSeed)
 	return ViewClusterConfig{
-		Program:     prog,
-		Mode:        cb.Mode,
-		EnvSeed:     envSeed,
-		PolicySeed:  polRef,
-		RecoverSeed: polRec,
+		RunConfig: runConfig(prog, cb.Mode, cb.ProgSeed),
 		Net: simnet.Config{
 			Seed:       cb.NetSeed,
 			ReorderNum: cb.ReorderNum,
@@ -139,77 +68,25 @@ func (cb ViewCombo) viewClusterConfig(prog *ftvm.Program) ViewClusterConfig {
 	}
 }
 
-// ViewComboOutcome is one view combo's deterministic result plus the
-// comparison verdict against the failure-free reference.
-type ViewComboOutcome struct {
-	Combo   ViewCombo
-	Result  *ViewClusterResult
-	Detail  string // "" when the output matched the reference
-	Err     error
-	Ref     []string
-	Console []string
-}
-
-// Failed reports whether the combo diverged or errored.
-func (o *ViewComboOutcome) Failed() bool { return o.Err != nil || o.Detail != "" }
-
-// TraceLine renders the combo's structural outcome from deterministic fields
-// only, so a whole sweep's trace is byte-identical across runs.
-func (o *ViewComboOutcome) TraceLine() string {
-	var sb strings.Builder
-	sb.WriteString(o.Combo.Key())
-	sb.WriteString(" -> ")
-	if o.Err != nil {
-		fmt.Fprintf(&sb, "ERROR %v", o.Err)
-		return sb.String()
-	}
-	r := o.Result
-	fmt.Fprintf(&sb, "view=%d killed1=%t promoted=%t killed2=%t takeover2=%t records2=%d records3=%d stale=%d vtime=%s console=%d",
-		r.FinalView.Num, r.Killed1, r.Promoted, r.Killed2, r.SecondTakeover,
-		r.Records2, r.Records3, r.StaleEpochs, r.VirtualElapsed, len(r.Console))
-	if o.Detail != "" {
-		fmt.Fprintf(&sb, " DIVERGE %s", o.Detail)
-	} else {
-		sb.WriteString(" ok")
-	}
-	return sb.String()
-}
-
-// ReplayCommand renders the shell command that reproduces this combo alone.
-func (o *ViewComboOutcome) ReplayCommand() string {
-	return fmt.Sprintf("go run ./cmd/ftvm-sim -replay %q", o.Combo.Key())
-}
-
-// RunViewCombo plays the combo's schedule on the simulated three-node
-// cluster and compares the surviving output against the failure-free
-// reference. Beyond output equality it asserts the epoch contract: when a
-// stale frame was injected into a promoted configuration, the recruit must
-// have dropped at least one stale-epoch frame.
-func RunViewCombo(cb ViewCombo, prog *ftvm.Program, ref []string) *ViewComboOutcome {
-	out := &ViewComboOutcome{Combo: cb}
-	if prog == nil {
-		var err error
-		prog, ref, err = comboProgram(Combo{ProgSeed: cb.ProgSeed, Size: cb.Size})
-		if err != nil {
-			out.Err = err
-			return out
-		}
-	}
-	out.Ref = ref
-
-	res, err := RunViewCluster(cb.viewClusterConfig(prog))
-	out.Result = res
-	if err != nil {
-		out.Err = err
+// run plays the schedule on the simulated three-node cluster and compares
+// the surviving output with the failure-free reference. Beyond output
+// equality it asserts the epoch contract: when a stale frame was injected
+// into a promoted configuration, the recruit must have dropped at least one
+// stale-epoch frame.
+func (cb ViewCombo) run(progs programCache) *Outcome {
+	out, prog := startVM(cb.Key(), progs, cb.ProgSeed, cb.Size)
+	if out.Err != nil {
 		return out
 	}
-	out.Console = res.Console
-	if detail, ok := fuzzgen.CompareFrames(ref, res.Console); !ok {
-		out.Detail = detail
+	r, err := RunViewCluster(cb.viewClusterConfig(prog))
+	if out.Err = err; err != nil {
+		return out
 	}
-	if res.StaleInjected && res.StaleEpochs == 0 {
-		out.Detail = strings.TrimSpace(out.Detail +
-			" stale-epoch frame was injected but never dropped (recruit acked old-epoch traffic?)")
+	out.compare(r.Console, "view=%d killed1=%t promoted=%t killed2=%t takeover2=%t records2=%d records3=%d stale=%d vtime=%s console=%d",
+		r.FinalView.Num, r.Killed1, r.Promoted, r.Killed2, r.SecondTakeover,
+		r.Records2, r.Records3, r.StaleEpochs, r.VirtualElapsed, len(r.Console))
+	if r.StaleInjected && r.StaleEpochs == 0 {
+		out.fail("stale-epoch frame was injected but never dropped (recruit acked old-epoch traffic?)")
 	}
 	return out
 }
@@ -219,12 +96,7 @@ func RunViewCombo(cb ViewCombo, prog *ftvm.Program, ref []string) *ViewComboOutc
 // position a promotion-only run, a stale-injection run, one run per
 // second-kill position, and one per channel fault on the promoted pair.
 type ViewSweepConfig struct {
-	// ProgSeeds are the generated-program seeds (required).
-	ProgSeeds []uint64
-	// Size is the generated-program size tier (default SizeSmall).
-	Size fuzzgen.Size
-	// Modes defaults to all three replica-coordination modes.
-	Modes []ftvm.Mode
+	VMSpace
 	// Kill1Sends are first-primary crash positions (default 1, 3, 8).
 	Kill1Sends []int
 	// Kill2Sends are promoted-primary crash positions, counted on the new
@@ -234,16 +106,10 @@ type ViewSweepConfig struct {
 	// Faults are channel-fault plans for the promoted pair (default a
 	// corrupted ack during transfer and a partition mid-tail).
 	Faults []transport.FaultPlan
-	// NetSeeds vary latency/reorder draws (default {1}).
-	NetSeeds []int64
-	// ReorderNum/ReorderDen give every link its reorder chance (default 1/8).
-	ReorderNum, ReorderDen int
 }
 
-func (c *ViewSweepConfig) fill() {
-	if len(c.Modes) == 0 {
-		c.Modes = []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched, ftvm.ModeLockInterval}
-	}
+// Combos expands the configuration into the full deterministic schedule list.
+func (c ViewSweepConfig) Combos() []Scenario {
 	if len(c.Kill1Sends) == 0 {
 		c.Kill1Sends = []int{1, 3, 8}
 	}
@@ -256,97 +122,34 @@ func (c *ViewSweepConfig) fill() {
 			{Kind: transport.FaultPartitionSend, At: 4},
 		}
 	}
-	if len(c.NetSeeds) == 0 {
-		c.NetSeeds = []int64{1}
-	}
-	if c.ReorderDen == 0 {
-		c.ReorderNum, c.ReorderDen = 1, 8
-	}
-}
-
-// Combos expands the configuration into the full deterministic schedule list.
-func (c *ViewSweepConfig) Combos() []ViewCombo {
-	c.fill()
-	var out []ViewCombo
-	for _, prog := range c.ProgSeeds {
-		for _, mode := range c.Modes {
-			for _, net := range c.NetSeeds {
-				base := ViewCombo{
-					ProgSeed: prog, Size: c.Size, Mode: mode, NetSeed: net,
-					ReorderNum: c.ReorderNum, ReorderDen: c.ReorderDen,
-				}
-				out = append(out, base) // clean run, no view change
-				for i, k1 := range c.Kill1Sends {
-					v := base
-					v.Kill1AtSend = k1
-					v.Kill1Deliver = i%2 == 1
-					out = append(out, v) // promotion + transfer, no second failure
-					inj := v
-					inj.InjectStale = true
-					out = append(out, inj)
-					for j, k2 := range c.Kill2Sends {
-						vv := v
-						vv.Kill2AtSend = k2
-						vv.Kill2Deliver = j%2 == 0
-						vv.InjectStale = j%2 == 1 // stale straggler racing a dying promoted primary
-						out = append(out, vv)
-					}
-					for _, f := range c.Faults {
-						vf := v
-						vf.FaultKind, vf.FaultAt = f.Kind, f.At
-						out = append(out, vf)
-					}
-				}
+	var out []Scenario
+	c.each(func(prog uint64, mode ftvm.Mode, net int64) {
+		base := ViewCombo{
+			ProgSeed: prog, Size: c.Size, Mode: mode, NetSeed: net,
+			ReorderNum: c.ReorderNum, ReorderDen: c.ReorderDen,
+		}
+		out = append(out, base) // clean run, no view change
+		for i, k1 := range c.Kill1Sends {
+			v := base
+			v.Kill1AtSend = k1
+			v.Kill1Deliver = i%2 == 1
+			out = append(out, v) // promotion + transfer, no second failure
+			inj := v
+			inj.InjectStale = true
+			out = append(out, inj)
+			for j, k2 := range c.Kill2Sends {
+				vv := v
+				vv.Kill2AtSend = k2
+				vv.Kill2Deliver = j%2 == 0
+				vv.InjectStale = j%2 == 1 // stale straggler racing a dying promoted primary
+				out = append(out, vv)
+			}
+			for _, f := range c.Faults {
+				vf := v
+				vf.FaultKind, vf.FaultAt = f.Kind, f.At
+				out = append(out, vf)
 			}
 		}
-	}
+	})
 	return out
-}
-
-// ViewSweepResult is the outcome of a full three-node sweep.
-type ViewSweepResult struct {
-	Combos   int
-	Failures []*ViewComboOutcome
-	Trace    []string
-	Elapsed  time.Duration // wall time (reporting only; never in the trace)
-}
-
-// RunViewSweep plays every combo in order, emitting one trace line per combo
-// via logf (nil = collect only). The trace is a pure function of the
-// configuration.
-func RunViewSweep(cfg ViewSweepConfig, logf func(string)) *ViewSweepResult {
-	combos := cfg.Combos()
-	res := &ViewSweepResult{Combos: len(combos)}
-	t0 := clock.Real.Now()
-
-	type cached struct {
-		prog *ftvm.Program
-		ref  []string
-		err  error
-	}
-	progs := map[uint64]*cached{}
-	for _, cb := range combos {
-		ca := progs[cb.ProgSeed]
-		if ca == nil {
-			ca = &cached{}
-			ca.prog, ca.ref, ca.err = comboProgram(Combo{ProgSeed: cb.ProgSeed, Size: cb.Size})
-			progs[cb.ProgSeed] = ca
-		}
-		var out *ViewComboOutcome
-		if ca.err != nil {
-			out = &ViewComboOutcome{Combo: cb, Err: ca.err}
-		} else {
-			out = RunViewCombo(cb, ca.prog, ca.ref)
-		}
-		line := out.TraceLine()
-		res.Trace = append(res.Trace, line)
-		if logf != nil {
-			logf(line)
-		}
-		if out.Failed() {
-			res.Failures = append(res.Failures, out)
-		}
-	}
-	res.Elapsed = clock.Real.Since(t0)
-	return res
 }

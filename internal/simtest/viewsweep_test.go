@@ -10,7 +10,7 @@ import (
 )
 
 // TestViewComboKeyRoundTrip: every field of a view combo survives
-// Key -> ParseViewCombo, so a printed trace line is a complete repro.
+// Key -> Parse, so a printed trace line is a complete repro.
 func TestViewComboKeyRoundTrip(t *testing.T) {
 	in := ViewCombo{
 		ProgSeed: 42, Size: fuzzgen.SizeSmall, Mode: ftvm.ModeSched,
@@ -20,34 +20,33 @@ func TestViewComboKeyRoundTrip(t *testing.T) {
 		InjectStale: true,
 		NetSeed:     9, ReorderNum: 1, ReorderDen: 4,
 	}
-	out, err := ParseViewCombo(in.Key())
+	out, err := Parse(in.Key())
 	if err != nil {
 		t.Fatalf("parse %q: %v", in.Key(), err)
 	}
 	if out != in {
 		t.Fatalf("round trip changed the combo:\n in: %+v\nout: %+v\nkey: %s", in, out, in.Key())
 	}
-	if !IsViewKey(in.Key()) {
-		t.Fatalf("IsViewKey(%q) = false", in.Key())
-	}
-	if IsViewKey("prog=1,size=small,mode=lock,kill=5,deliver=1,fault=none@0,net=1,reorder=1/8") {
-		t.Fatal("IsViewKey matched a pair-combo key")
+	if k, _ := ClassifyReplayKey("prog=1,size=small,mode=lock,kill=5,deliver=1,fault=none@0,net=1,reorder=1/8"); k == ReplayView {
+		t.Fatal("a pair-combo key classified as a view key")
 	}
 }
 
 // TestViewSweepTraceDeterminism: the same view sweep run twice yields a
 // byte-identical trace — virtual time, record counts and view numbers
-// included — and no combo fails.
+// included, pinned by hash across commits — and no combo fails.
 func TestViewSweepTraceDeterminism(t *testing.T) {
 	cfg := ViewSweepConfig{
-		ProgSeeds:  []uint64{3},
-		Modes:      []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched},
+		VMSpace: VMSpace{
+			ProgSeeds: []uint64{3},
+			Modes:     []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched},
+			NetSeeds:  []int64{5},
+		},
 		Kill1Sends: []int{3},
 		Kill2Sends: []int{1, 6},
-		NetSeeds:   []int64{5},
 	}
-	first := RunViewSweep(cfg, nil)
-	second := RunViewSweep(cfg, nil)
+	first := Sweep(cfg.Combos(), nil)
+	second := Sweep(cfg.Combos(), nil)
 	if len(first.Failures) != 0 {
 		t.Fatalf("sweep failed:\n%s\nreplay: %s",
 			first.Failures[0].TraceLine(), first.Failures[0].ReplayCommand())
@@ -56,6 +55,7 @@ func TestViewSweepTraceDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same sweep, different traces:\n--- first\n%s\n--- second\n%s", a, b)
 	}
+	pinTrace(t, first.Trace, "c67ff7a73848ccdf7ca306b3f4daa02454b329c138fdda629f170495006929c6")
 	t.Logf("%d view combos, trace stable", first.Combos)
 }
 
@@ -63,8 +63,8 @@ func TestViewSweepTraceDeterminism(t *testing.T) {
 // three modes — every combo must hold the exactly-once contract whatever the
 // two-stage fault schedule does.
 func TestViewSweepSmoke(t *testing.T) {
-	cfg := ViewSweepConfig{ProgSeeds: []uint64{3}, NetSeeds: []int64{5}}
-	res := RunViewSweep(cfg, nil)
+	cfg := ViewSweepConfig{VMSpace: VMSpace{ProgSeeds: []uint64{3}, NetSeeds: []int64{5}}}
+	res := Sweep(cfg.Combos(), nil)
 	for _, f := range res.Failures {
 		t.Errorf("%s\nreplay: %s", f.TraceLine(), f.ReplayCommand())
 	}
@@ -118,18 +118,4 @@ var viewReplaySeeds = []struct {
 
 // TestViewReplaySeeds replays the view regression table. A failure means a
 // view-change failure class fixed in this PR has reopened.
-func TestViewReplaySeeds(t *testing.T) {
-	for _, rs := range viewReplaySeeds {
-		t.Run(rs.class, func(t *testing.T) {
-			cb, err := ParseViewCombo(rs.key)
-			if err != nil {
-				t.Fatalf("table entry %q: %v", rs.key, err)
-			}
-			out := RunViewCombo(cb, nil, nil)
-			if out.Failed() {
-				t.Fatalf("regression in %q:\n%s\nreplay: %s", rs.class, out.TraceLine(), out.ReplayCommand())
-			}
-			t.Logf("%s", out.TraceLine())
-		})
-	}
-}
+func TestViewReplaySeeds(t *testing.T) { replayTable(t, viewReplaySeeds) }
